@@ -43,7 +43,7 @@ from .harness import (
     sweep,
 )
 from .loss import LossBreakdown, LossParams, change_count, loss, misclassification_count
-from .prune import best_leaf, prune
+from .prune import prune
 from .tree import (
     Leaf,
     Split,

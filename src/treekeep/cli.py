@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from . import __version__
 from .data import load_csv
@@ -161,12 +162,12 @@ def cmd_eval(args) -> int:
         ) from exc
     base_dir = os.path.dirname(os.path.abspath(args.config))
     config, alphas, betas = config_from_dict(obj, base_dir)
-    for attr in ("n_runs", "n_batches", "batch_size", "test_size", "seed"):
-        value = getattr(args, attr)
-        if value is not None:
-            from dataclasses import replace
-
-            config = replace(config, **{attr: value})
+    overrides = {
+        attr: getattr(args, attr)
+        for attr in ("n_runs", "n_batches", "batch_size", "test_size", "seed")
+        if getattr(args, attr) is not None
+    }
+    config = replace(config, **overrides)
     out_dir = args.out_dir or os.environ.get(OUT_DIR_ENV) or os.path.join(base_dir, "eval_out")
     records = run_eval(config, out_dir, alphas, betas)
     print(f"wrote {len(records)} records to {os.path.join(out_dir, 'results.csv')}")

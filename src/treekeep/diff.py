@@ -7,13 +7,12 @@ Two instruments, deliberately different:
 * ``similarity`` is an evaluation-only partial-match score in [0, 1] that
   gives half credit to a split keeping its variable but shifting its
   threshold.  It approximates the published partial-match idea rather than
-  reproducing any exact formula; the per-pair scorer is pluggable.
+  reproducing any exact formula.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from .tree import Leaf, NodeId, Split, Tree, node_count
 
@@ -22,7 +21,7 @@ __all__ = ["DiffEntry", "DiffReport", "structural_diff", "similarity", "diff_tab
 PARTIAL_CREDIT = 0.5
 
 
-def default_scorer(prev: Tree, new: Tree) -> float:
+def _match_score(prev: Tree, new: Tree) -> float:
     """Match score for an aligned node pair: 1 exact, 0.5 same-variable split, 0 else."""
     if isinstance(prev, Leaf) and isinstance(new, Leaf):
         return 1.0 if prev.class_label == new.class_label else 0.0
@@ -45,11 +44,7 @@ class DiffReport:
     similarity: float
 
 
-def structural_diff(
-    prev: Tree,
-    new: Tree,
-    scorer: Callable[[Tree, Tree], float] = default_scorer,
-) -> DiffReport:
+def structural_diff(prev: Tree, new: Tree) -> DiffReport:
     """Walk both trees in lockstep, classifying every node of the new tree.
 
     Statuses follow the strict change rules (delta always agrees with
@@ -58,29 +53,25 @@ def structural_diff(
     variable, and sum into ``similarity`` over the larger tree's node count.
     """
     entries: list[DiffEntry] = []
-    _walk(prev, new, "", False, entries, scorer)
+    _walk(prev, new, "", False, entries)
     delta = sum(1 for e in entries if e.status == "changed")
     score = sum(e.match_score for e in entries)
     sim = score / max(node_count(prev), node_count(new))
     return DiffReport(tuple(entries), delta, sim)
 
 
-def _walk(prev, new, path, ancestor_changed, entries, scorer):
-    score = scorer(prev, new)
+def _walk(prev, new, path, ancestor_changed, entries):
+    score = _match_score(prev, new)
     if score == 0.0:
         _mark_all_changed(new, path, entries)
         return
     exact = score == 1.0
     status = "kept" if exact and not ancestor_changed else "changed"
     entries.append(DiffEntry(path, status, score))
-    if isinstance(new, Split):
-        if isinstance(prev, Split):
-            below_changed = ancestor_changed or not exact
-            _walk(prev.left, new.left, path + "L", below_changed, entries, scorer)
-            _walk(prev.right, new.right, path + "R", below_changed, entries, scorer)
-        else:  # only reachable with a custom scorer crediting kind mismatches
-            _mark_all_changed(new.left, path + "L", entries)
-            _mark_all_changed(new.right, path + "R", entries)
+    if isinstance(new, Split):  # a nonzero score means prev is a Split too
+        below_changed = ancestor_changed or not exact
+        _walk(prev.left, new.left, path + "L", below_changed, entries)
+        _walk(prev.right, new.right, path + "R", below_changed, entries)
 
 
 def _mark_all_changed(node, path, entries):

@@ -15,7 +15,7 @@ import numpy as np
 from .data import Dataset
 from .tree import Leaf, Split, Tree
 
-__all__ = ["GrowthConfig", "SplitCandidate", "best_split", "grow", "majority_class"]
+__all__ = ["GrowthConfig", "SplitCandidate", "best_split", "grow"]
 
 
 @dataclass(frozen=True)
@@ -24,26 +24,18 @@ class GrowthConfig:
 
     max_depth: Optional[int] = 20
     min_samples_split: int = 2
-    impurity: str = "gini"
 
     def __post_init__(self):
         if self.max_depth is not None and self.max_depth < 1:
             raise ValueError("max_depth must be >= 1 or None for unlimited")
         if self.min_samples_split < 2:
             raise ValueError("min_samples_split must be >= 2")
-        if self.impurity != "gini":
-            raise ValueError(f"unsupported impurity criterion: {self.impurity!r}")
 
 
 class SplitCandidate(NamedTuple):
     feature: int
     threshold: float
     decrease: float
-
-
-def majority_class(data: Dataset) -> int:
-    """Most frequent class; ties go to the lowest class index."""
-    return int(np.argmax(data.class_counts()))
 
 
 def _gini(counts: np.ndarray, n: float) -> float:

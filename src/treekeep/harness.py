@@ -18,7 +18,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Sequence
 
 from . import __version__
@@ -51,22 +51,14 @@ __all__ = [
     "summarize",
     "accuracy_ci_halfwidth",
     "write_results",
-    "write_summary",
-    "write_timings",
     "run_eval",
     "config_from_dict",
     "iris_demo",
     "IrisDemo",
-    "DEFAULT_SWEEP_ALPHAS",
-    "DEFAULT_SWEEP_BETAS",
     "DEMO_SEED",
 ]
 
 VALID_ALGORITHMS = ("keep_regrow", "retrain", "keep_original")
-
-# Sweep grids; both contain the suggested defaults alpha=5, beta=1.
-DEFAULT_SWEEP_ALPHAS = (0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0)
-DEFAULT_SWEEP_BETAS = (0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 100.0)
 
 _BASELINE_LABELS = {"retrain": "beta=-100", "keep_original": "beta=100"}
 
@@ -130,15 +122,10 @@ class RunRecord:
         return _BASELINE_LABELS.get(self.algorithm, "")
 
 
-def _record_sort_key(rec: RunRecord):
-    return (
-        rec.dataset,
-        rec.algorithm,
-        rec.alpha,
-        rec.beta if rec.beta is not None else -math.inf,
-        rec.run,
-        rec.batch,
-    )
+def _row_order(row) -> tuple:
+    """Canonical row order; a baseline's beta (None) sorts first, summary rows have no run."""
+    beta = -math.inf if row.beta is None else row.beta
+    return (row.dataset, row.algorithm, row.alpha, beta, getattr(row, "run", 0), row.batch)
 
 
 def _train_step(
@@ -227,14 +214,14 @@ def _run_all(
 def run_experiment(config: ExperimentConfig, archive_dir: Optional[str] = None) -> list[RunRecord]:
     """All runs of one algorithm over the batch stream; canonically sorted."""
     records = _run_all(config, archive_dir)
-    records.sort(key=_record_sort_key)
+    records.sort(key=_row_order)
     return records
 
 
 def sweep(
     config: ExperimentConfig,
-    alphas: Sequence[float] = DEFAULT_SWEEP_ALPHAS,
-    betas: Sequence[float] = DEFAULT_SWEEP_BETAS,
+    alphas: Sequence[float],
+    betas: Sequence[float],
     archive_dir: Optional[str] = None,
 ) -> list[RunRecord]:
     """Parameter exploration around one config.
@@ -260,7 +247,7 @@ def sweep(
         for baseline in ("retrain", "keep_original"):
             cfg = replace(config, algorithm=AlgorithmSpec(baseline, fixed_alpha))
             records.extend(_run_all(cfg, archive_dir, max_batches=2, record_batches={1}))
-    records.sort(key=_record_sort_key)
+    records.sort(key=_row_order)
     return records
 
 
@@ -324,11 +311,7 @@ def summarize(records: Sequence[RunRecord], test_size: int) -> list[SummaryRow]:
         key = (rec.dataset, rec.algorithm, rec.alpha, rec.beta, rec.batch)
         groups.setdefault(key, []).append(rec)
     rows = []
-    for key in sorted(
-        groups, key=lambda k: (k[0], k[1], k[2], k[3] if k[3] is not None else -math.inf, k[4])
-    ):
-        dataset, algorithm, alpha, beta, batch = key
-        recs = groups[key]
+    for (dataset, algorithm, alpha, beta, batch), recs in groups.items():
         acc_mean = _mean([r.accuracy for r in recs])
         rows.append(
             SummaryRow(
@@ -350,7 +333,7 @@ def summarize(records: Sequence[RunRecord], test_size: int) -> list[SummaryRow]:
                 label=_BASELINE_LABELS.get(algorithm, ""),
             )
         )
-    return rows
+    return sorted(rows, key=_row_order)
 
 
 # ---------------------------------------------------------------------------
@@ -358,12 +341,22 @@ def summarize(records: Sequence[RunRecord], test_size: int) -> list[SummaryRow]:
 # ---------------------------------------------------------------------------
 
 
-def _cell(value) -> str:
+def _cell(column: str, value) -> str:
     if value is None:
         return ""
+    if column == "wall_time_ms":
+        return f"{value:.3f}"
     if isinstance(value, float):
         return repr(float(value))  # plain-float repr even for numpy scalars
     return str(value)
+
+
+def _write_csv(rows, columns: Sequence[str], path) -> None:
+    """One line per row, one cell per named attribute of the row."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(_cell(c, getattr(row, c)) for c in columns) + "\n")
 
 
 RESULT_COLUMNS = (
@@ -379,86 +372,14 @@ RESULT_COLUMNS = (
     "similarity",
     "label",
 )
+SUMMARY_COLUMNS = tuple(f.name for f in fields(SummaryRow))
+# Wall times live here, outside the deterministic result table.
+TIMING_COLUMNS = RESULT_COLUMNS[:6] + ("wall_time_ms",)
 
 
 def write_results(records: Sequence[RunRecord], path) -> None:
     """Canonical result table; deterministic bytes for a fixed config."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(RESULT_COLUMNS) + "\n")
-        for r in records:
-            fh.write(
-                ",".join(
-                    [
-                        r.dataset,
-                        r.algorithm,
-                        _cell(r.alpha),
-                        _cell(r.beta),
-                        str(r.run),
-                        str(r.batch),
-                        _cell(r.accuracy),
-                        str(r.nodes),
-                        _cell(r.delta),
-                        _cell(r.similarity),
-                        r.label,
-                    ]
-                )
-                + "\n"
-            )
-
-
-def write_summary(rows: Sequence[SummaryRow], path) -> None:
-    columns = (
-        "dataset,algorithm,alpha,beta,batch,runs,accuracy_mean,accuracy_stdev,"
-        "accuracy_ci95,nodes_mean,nodes_stdev,delta_mean,delta_stdev,"
-        "similarity_mean,similarity_stdev,label"
-    )
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(columns + "\n")
-        for s in rows:
-            fh.write(
-                ",".join(
-                    [
-                        s.dataset,
-                        s.algorithm,
-                        _cell(s.alpha),
-                        _cell(s.beta),
-                        str(s.batch),
-                        str(s.runs),
-                        _cell(s.accuracy_mean),
-                        _cell(s.accuracy_stdev),
-                        _cell(s.accuracy_ci95),
-                        _cell(s.nodes_mean),
-                        _cell(s.nodes_stdev),
-                        _cell(s.delta_mean),
-                        _cell(s.delta_stdev),
-                        _cell(s.similarity_mean),
-                        _cell(s.similarity_stdev),
-                        s.label,
-                    ]
-                )
-                + "\n"
-            )
-
-
-def write_timings(records: Sequence[RunRecord], path) -> None:
-    """Wall times live here, outside the deterministic result table."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("dataset,algorithm,alpha,beta,run,batch,wall_time_ms\n")
-        for r in records:
-            fh.write(
-                ",".join(
-                    [
-                        r.dataset,
-                        r.algorithm,
-                        _cell(r.alpha),
-                        _cell(r.beta),
-                        str(r.run),
-                        str(r.batch),
-                        f"{r.wall_time_ms:.3f}",
-                    ]
-                )
-                + "\n"
-            )
+    _write_csv(records, RESULT_COLUMNS, path)
 
 
 def run_eval(
@@ -482,8 +403,9 @@ def run_eval(
         records = run_experiment(config, archive_dir=trees_dir)
         mode = "stream"
     write_results(records, os.path.join(out_dir, "results.csv"))
-    write_summary(summarize(records, config.test_size), os.path.join(out_dir, "summary.csv"))
-    write_timings(records, os.path.join(out_dir, "timings.csv"))
+    rows = summarize(records, config.test_size)
+    _write_csv(rows, SUMMARY_COLUMNS, os.path.join(out_dir, "summary.csv"))
+    _write_csv(records, TIMING_COLUMNS, os.path.join(out_dir, "timings.csv"))
     manifest = {
         "mode": mode,
         "dataset": config.dataset_name,
@@ -501,7 +423,6 @@ def run_eval(
         "growth": {
             "max_depth": config.growth.max_depth,
             "min_samples_split": config.growth.min_samples_split,
-            "impurity": config.growth.impurity,
         },
         "sweep_alphas": list(alphas) if alphas is not None else None,
         "sweep_betas": list(betas) if betas is not None else None,

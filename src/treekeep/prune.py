@@ -13,16 +13,10 @@ from __future__ import annotations
 import numpy as np
 
 from .data import Dataset
-from .grow import majority_class
 from .loss import LossParams
 from .tree import Leaf, Split, Tree
 
-__all__ = ["best_leaf", "prune"]
-
-
-def best_leaf(data: Dataset) -> Leaf:
-    """The loss-minimizing leaf: the mode class, ties to the lowest index."""
-    return Leaf(majority_class(data))
+__all__ = ["prune"]
 
 
 def prune(grown: Tree, data: Dataset, params: LossParams) -> Tree:

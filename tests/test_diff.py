@@ -88,21 +88,3 @@ def test_diff_table_one_row_per_node():
     assert lines[1].startswith("root\tchanged")
     assert lines[2] == "L\tchanged\t1"
 
-
-def test_custom_scorer_is_pluggable():
-    def harsh(prev, new):
-        if isinstance(prev, Leaf) and isinstance(new, Leaf):
-            return 1.0 if prev.class_label == new.class_label else 0.0
-        if (
-            isinstance(prev, Split)
-            and isinstance(new, Split)
-            and prev.feature == new.feature
-            and prev.threshold == new.threshold
-        ):
-            return 1.0
-        return 0.0
-
-    new = Split(0, 3.5, Leaf(0), Leaf(1))
-    report = structural_diff(STUMP, new, scorer=harsh)
-    assert report.similarity == 0.0  # no partial credit, traversal stops at the root
-    assert report.delta == change_count(STUMP, new)

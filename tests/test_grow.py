@@ -130,6 +130,4 @@ def test_growth_config_validation():
         GrowthConfig(max_depth=0)
     with pytest.raises(ValueError):
         GrowthConfig(min_samples_split=1)
-    with pytest.raises(ValueError):
-        GrowthConfig(impurity="entropy")
     assert GrowthConfig(max_depth=None).max_depth is None

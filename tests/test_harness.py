@@ -1,3 +1,6 @@
+import json
+import re
+
 import pytest
 
 from treekeep import (
@@ -180,8 +183,17 @@ def test_run_eval_artifacts_and_rederivable_records(tmp_path):
     records = run_eval(make_config(), out)
     for name in ("results.csv", "summary.csv", "timings.csv", "manifest.json"):
         assert (out / name).exists()
-    header = (out / "results.csv").read_text().splitlines()[0]
-    assert header == "dataset,algorithm,alpha,beta,run,batch,accuracy,nodes,delta,similarity,label"
+    results = (out / "results.csv").read_text().splitlines()
+    assert results[0] == "dataset,algorithm,alpha,beta,run,batch,accuracy,nodes,delta,similarity,label"
+    timings = (out / "timings.csv").read_text().splitlines()
+    assert timings[0] == "dataset,algorithm,alpha,beta,run,batch,wall_time_ms"
+    assert len(timings) == len(results)
+    for timing, result in zip(timings[1:], results[1:]):
+        cells = timing.split(",")
+        assert cells[:6] == result.split(",")[:6]
+        assert re.fullmatch(r"\d+\.\d{3}", cells[6])
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest["growth"]) == {"max_depth", "min_samples_split"}
     # every record's delta/similarity re-derives from the archived trees
     from dataclasses import replace
 

@@ -7,7 +7,6 @@ from treekeep import (
     Leaf,
     LossParams,
     Split,
-    best_leaf,
     grow,
     loss,
     node_count,
@@ -22,26 +21,28 @@ def dataset(x, y, n_classes=2):
 
 
 FOUR = dataset([1, 2, 3, 4], [0, 0, 1, 1])
+# Pruning a lone leaf returns the loss-minimizing leaf: the mode class.
+NO_PENALTY = LossParams(0.0, 0.0)
 
 
 def test_best_leaf_mode():
-    assert best_leaf(dataset([0, 0, 0], [0, 0, 1])) == Leaf(0)
+    assert prune(Leaf(0), dataset([0, 0, 0], [0, 0, 1]), NO_PENALTY) == Leaf(0)
 
 
 def test_best_leaf_unanimous():
-    assert best_leaf(dataset([0, 0, 0], [2, 2, 2], n_classes=3)) == Leaf(2)
+    assert prune(Leaf(0), dataset([0, 0, 0], [2, 2, 2], n_classes=3), NO_PENALTY) == Leaf(2)
 
 
 def test_best_leaf_tie_to_lowest_class():
-    assert best_leaf(dataset([0, 0], [0, 1])) == Leaf(0)
+    assert prune(Leaf(0), dataset([0, 0], [0, 1]), NO_PENALTY) == Leaf(0)
 
 
 def test_best_leaf_minimizes_loss_over_classes():
     rng = np.random.default_rng(41)
     for _ in range(30):
         data = random_dataset(rng)
-        chosen = best_leaf(data)
         params = LossParams(1.0, 1.0)
+        chosen = prune(Leaf(0), data, params)
         best = min(loss(None, Leaf(c), data, params).total for c in range(data.n_classes))
         assert loss(None, chosen, data, params).total == best
 
@@ -97,7 +98,7 @@ def test_prune_never_beats_itself():
         pruned = prune(grown, data, params)
         pruned_loss = loss(None, pruned, data, params).total
         assert pruned_loss <= loss(None, grown, data, params).total
-        assert pruned_loss <= loss(None, best_leaf(data), data, params).total
+        assert pruned_loss <= loss(None, prune(Leaf(0), data, params), data, params).total
 
 
 def test_prune_idempotent():

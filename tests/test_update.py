@@ -160,3 +160,16 @@ def test_update_respects_growth_config():
     from treekeep.tree import depth
 
     assert depth(out) <= 1
+
+
+@pytest.mark.xfail(
+    strict=True, reason="update applies max_depth from each regrown node, not from the root"
+)
+def test_update_max_depth_is_absolute():
+    from treekeep.tree import depth
+
+    rng = np.random.default_rng(0)
+    data = random_dataset(rng, n_rows=int(rng.integers(6, 30)), n_features=2, n_classes=2)
+    growth = GrowthConfig(max_depth=2)
+    prev = retrain(data.subset(np.arange(15)), LossParams(0, 0), growth)
+    assert depth(update(prev, data, LossParams(0, 0), growth)) <= 2
