@@ -1,6 +1,6 @@
 """Golden-output check: `eval` and `update` write the same bytes as recorded.
 
-The files under tests/golden/ were written by this module's builders and are
+The files under tests/golden/ were written by ``build`` below and are
 compared byte for byte.  Regenerate them (``python tests/test_golden.py``)
 only in a change that alters trees on purpose and says so.
 """
