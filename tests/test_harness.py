@@ -266,3 +266,33 @@ def test_iris_demo_keeps_root_and_improves_fit():
     )
     assert demo.delta > 0
     assert demo.updated_misclassified <= demo.initial_misclassified
+
+
+def test_config_dataset_path_defaults_name_to_stem(tmp_path):
+    (tmp_path / "points.csv").write_text("x,y,target\n1,2,yes\n3,4,no\n5,6,yes\n")
+    config, _, _ = config_from_dict(
+        {
+            "dataset": {"path": "points.csv", "label_column": "target", "has_header": True},
+            "algorithm": {"name": "retrain"},
+        },
+        str(tmp_path),
+    )
+    assert config.dataset_name == "points"
+    assert config.dataset.n_rows == 3
+    assert config.dataset.label_names == ("no", "yes")
+
+
+def test_config_dataset_manifest(tmp_path):
+    (tmp_path / "rows.txt").write_text("1.0 2.0 0\n3.0 4.0 1\n")
+    manifest = {"name": "rows", "url": "https://example.org/rows", "file": "rows.txt", "label_column": 2}
+    (tmp_path / "rows.json").write_text(json.dumps(manifest))
+    config, _, _ = config_from_dict(
+        {"dataset": {"manifest": "rows.json"}, "algorithm": {"name": "retrain"}}, str(tmp_path)
+    )
+    assert config.dataset_name == "rows"
+    assert config.dataset.n_rows == 2
+
+
+def test_config_dataset_path_needs_label_column():
+    with pytest.raises(ConfigError, match="label_column"):
+        config_from_dict({"dataset": {"path": "points.csv"}, "algorithm": {"name": "retrain"}})
