@@ -17,7 +17,7 @@ from .data import load_csv
 from .diff import diff_table, structural_diff
 from .errors import ConfigError, TreekeepError
 from .grow import GrowthConfig
-from .harness import config_from_dict, run_eval
+from .harness import INT_KEYS, AlgorithmSpec, config_from_dict, run_eval
 from .loss import LossParams, loss, misclassification_count
 from .tree import load_tree, node_count, save_tree, to_dot
 from .update import retrain, update
@@ -44,26 +44,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"treekeep {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_grow = sub.add_parser("grow", help="grow and prune a tree from a dataset")
-    p_grow.add_argument("--data", required=True, help="CSV or whitespace-delimited file")
-    p_grow.add_argument("--label-col", default="-1", help="label column index or name (default: last)")
-    p_grow.add_argument("--has-header", action="store_true")
-    p_grow.add_argument("--alpha", type=float, default=5.0, help="per-node complexity penalty")
-    p_grow.add_argument("--max-depth", type=int, default=20)
-    p_grow.add_argument("--min-samples-split", type=int, default=2)
-    p_grow.add_argument("--out", required=True, help="tree file to write")
+    # Flags shared by grow and update; their defaults are the library's.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--data", required=True, help="CSV or whitespace-delimited file")
+    common.add_argument("--label-col", default="-1", help="label column index or name (default: last)")
+    common.add_argument("--has-header", action="store_true")
+    common.add_argument("--alpha", type=float, default=AlgorithmSpec.alpha, help="per-node complexity penalty")
+    common.add_argument("--max-depth", type=int, default=GrowthConfig.max_depth)
+    common.add_argument("--out", required=True, help="tree file to write")
+
+    p_grow = sub.add_parser("grow", parents=[common], help="grow and prune a tree from a dataset")
     p_grow.add_argument("--dot-out", help="also write a Graphviz rendering")
 
-    p_update = sub.add_parser("update", help="update a tree on new data, minimising changes")
+    p_update = sub.add_parser(
+        "update", parents=[common], help="update a tree on new data, minimising changes"
+    )
     p_update.add_argument("--prev-tree", required=True)
-    p_update.add_argument("--data", required=True)
-    p_update.add_argument("--label-col", default="-1")
-    p_update.add_argument("--has-header", action="store_true")
-    p_update.add_argument("--alpha", type=float, default=5.0)
-    p_update.add_argument("--beta", type=float, default=1.0, help="per-changed-node penalty")
-    p_update.add_argument("--max-depth", type=int, default=20)
-    p_update.add_argument("--min-samples-split", type=int, default=2)
-    p_update.add_argument("--out", required=True)
+    p_update.add_argument("--beta", type=float, default=AlgorithmSpec.beta, help="per-changed-node penalty")
     p_update.add_argument("--diff-out", help="write the per-node diff table here")
     p_update.add_argument("--dot-out", help="write a diff-highlighted Graphviz rendering")
 
@@ -86,20 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _growth(args) -> GrowthConfig:
-    return GrowthConfig(max_depth=args.max_depth, min_samples_split=args.min_samples_split)
-
-
-def _params(alpha: float, beta: float = 0.0) -> LossParams:
-    try:
-        return LossParams(alpha, beta)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def cmd_grow(args) -> int:
     data = load_csv(args.data, _label_column(args.label_col), args.has_header)
-    tree = retrain(data, _params(args.alpha), _growth(args))
+    tree = retrain(data, LossParams(args.alpha, 0.0), GrowthConfig(args.max_depth))
     save_tree(tree, args.out)
     if args.dot_out:
         with open(args.dot_out, "w", encoding="utf-8") as fh:
@@ -113,8 +99,8 @@ def cmd_grow(args) -> int:
 def cmd_update(args) -> int:
     prev = load_tree(args.prev_tree)
     data = load_csv(args.data, _label_column(args.label_col), args.has_header)
-    params = _params(args.alpha, args.beta)
-    new = update(prev, data, params, _growth(args))
+    params = LossParams(args.alpha, args.beta)
+    new = update(prev, data, params, GrowthConfig(args.max_depth))
     save_tree(new, args.out)
     report = structural_diff(prev, new)
     breakdown = loss(prev, new, data, params)
@@ -162,11 +148,7 @@ def cmd_eval(args) -> int:
         ) from exc
     base_dir = os.path.dirname(os.path.abspath(args.config))
     config, alphas, betas = config_from_dict(obj, base_dir)
-    overrides = {
-        attr: getattr(args, attr)
-        for attr in ("n_runs", "n_batches", "batch_size", "test_size", "seed")
-        if getattr(args, attr) is not None
-    }
+    overrides = {key: getattr(args, key) for key in INT_KEYS if getattr(args, key) is not None}
     config = replace(config, **overrides)
     out_dir = args.out_dir or os.environ.get(OUT_DIR_ENV) or os.path.join(base_dir, "eval_out")
     records = run_eval(config, out_dir, alphas, betas)

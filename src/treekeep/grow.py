@@ -23,13 +23,10 @@ class GrowthConfig:
     """Stopping rules for the grower; pruning does the real complexity control."""
 
     max_depth: Optional[int] = 20
-    min_samples_split: int = 2
 
     def __post_init__(self):
         if self.max_depth is not None and self.max_depth < 1:
             raise ValueError("max_depth must be >= 1 or None for unlimited")
-        if self.min_samples_split < 2:
-            raise ValueError("min_samples_split must be >= 2")
 
 
 class SplitCandidate(NamedTuple):
@@ -96,8 +93,6 @@ def _grow(data: Dataset, config: GrowthConfig, level: int) -> Tree:
     counts = data.class_counts()
     mode = int(np.argmax(counts))
     if counts[mode] == data.n_rows:  # pure
-        return Leaf(mode)
-    if data.n_rows < config.min_samples_split:
         return Leaf(mode)
     if config.max_depth is not None and level >= config.max_depth:
         return Leaf(mode)

@@ -18,7 +18,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional, Sequence
 
 from . import __version__
@@ -153,7 +153,6 @@ def _run_single(
     run: int,
     archive_dir: Optional[str],
     max_batches: Optional[int],
-    record_batches: Optional[set],
 ) -> list[RunRecord]:
     plan = make_batch_plan(
         config.dataset,
@@ -193,22 +192,21 @@ def _run_single(
         )
         if archive_dir is not None:
             save_tree(tree, os.path.join(archive_dir, archive_name(record)))
-        if record_batches is None or t in record_batches:
-            records.append(record)
+        records.append(record)
         prev = tree
     return records
 
 
-def _run_all(
-    config: ExperimentConfig,
-    archive_dir=None,
-    max_batches=None,
-    record_batches=None,
-) -> list[RunRecord]:
+def _run_all(config: ExperimentConfig, archive_dir=None, max_batches=None) -> list[RunRecord]:
     records = []
     for run in range(config.n_runs):
-        records.extend(_run_single(config, run, archive_dir, max_batches, record_batches))
+        records.extend(_run_single(config, run, archive_dir, max_batches))
     return records
+
+
+def _step_records(config: ExperimentConfig, archive_dir, step: int) -> list[RunRecord]:
+    """Every run up to batch ``step``, keeping only that batch's rows."""
+    return [r for r in _run_all(config, archive_dir, max_batches=step + 1) if r.batch == step]
 
 
 def run_experiment(config: ExperimentConfig, archive_dir: Optional[str] = None) -> list[RunRecord]:
@@ -236,17 +234,17 @@ def sweep(
     records: list[RunRecord] = []
     for alpha in alphas:
         cfg = replace(config, algorithm=AlgorithmSpec("retrain", alpha=alpha))
-        records.extend(_run_all(cfg, archive_dir, max_batches=1, record_batches={0}))
+        records.extend(_step_records(cfg, archive_dir, 0))
     if betas:
         if config.n_batches < 2:
             raise ConfigError("a beta sweep needs n_batches >= 2")
         fixed_alpha = config.algorithm.alpha
         for beta in betas:
             cfg = replace(config, algorithm=AlgorithmSpec("keep_regrow", fixed_alpha, beta))
-            records.extend(_run_all(cfg, archive_dir, max_batches=2, record_batches={1}))
+            records.extend(_step_records(cfg, archive_dir, 1))
         for baseline in ("retrain", "keep_original"):
             cfg = replace(config, algorithm=AlgorithmSpec(baseline, fixed_alpha))
-            records.extend(_run_all(cfg, archive_dir, max_batches=2, record_batches={1}))
+            records.extend(_step_records(cfg, archive_dir, 1))
     records.sort(key=_row_order)
     return records
 
@@ -410,20 +408,13 @@ def run_eval(
         "mode": mode,
         "dataset": config.dataset_name,
         "dataset_rows": config.dataset.n_rows,
-        "algorithm": {
-            "name": config.algorithm.name,
-            "alpha": config.algorithm.alpha,
-            "beta": config.algorithm.beta,
-        },
+        "algorithm": asdict(config.algorithm),
         "n_runs": config.n_runs,
         "n_batches": config.n_batches,
         "batch_size": config.batch_size,
         "test_size": config.test_size,
         "seed": config.seed,
-        "growth": {
-            "max_depth": config.growth.max_depth,
-            "min_samples_split": config.growth.min_samples_split,
-        },
+        "growth": asdict(config.growth),
         "sweep_alphas": list(alphas) if alphas is not None else None,
         "sweep_betas": list(betas) if betas is not None else None,
         "n_records": len(records),
@@ -456,6 +447,8 @@ _CONFIG_KEYS = {
     "growth",
     "sweep",
 }
+# Integer settings a config document may set and `treekeep eval` may override.
+INT_KEYS = ("n_runs", "n_batches", "batch_size", "test_size", "seed")
 
 
 def _dataset_from_ref(ref, base_dir: str) -> tuple[str, Dataset]:
@@ -481,11 +474,7 @@ def _dataset_from_ref(ref, base_dir: str) -> tuple[str, Dataset]:
             Rectangle(tuple(r["lows"]), tuple(r["highs"]), int(r["label"]))
             for r in spec_obj.pop("rectangles", [])
         )
-        try:
-            spec = SyntheticSpec(rectangles=rects, **spec_obj)
-        except TypeError as exc:
-            raise ConfigError(f"invalid synthetic spec: {exc}") from exc
-        return name, synthetic(spec, seed)
+        return name, synthetic(SyntheticSpec(rectangles=rects, **spec_obj), seed)
     raise ConfigError(
         "dataset must specify one of: 'builtin', 'path', 'manifest', 'synthetic'"
     )
@@ -495,6 +484,7 @@ def config_from_dict(obj: dict, base_dir: str = "."):
     """Build (ExperimentConfig, sweep_alphas, sweep_betas) from a config document.
 
     The document mirrors the config field names; see README for the format.
+    Keys it leaves out take the dataclasses' defaults.
     """
     if not isinstance(obj, dict):
         raise ConfigError("config document must be an object")
@@ -503,51 +493,30 @@ def config_from_dict(obj: dict, base_dir: str = "."):
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if "dataset" not in obj:
         raise ConfigError("config needs a 'dataset' entry")
-    name, dataset = _dataset_from_ref(obj["dataset"], base_dir)
-
-    algo_obj = obj.get("algorithm", {})
-    if not isinstance(algo_obj, dict) or "name" not in algo_obj:
-        raise ConfigError("config needs algorithm: {name, alpha, beta}")
+    algo_obj = obj.get("algorithm")
+    if not isinstance(algo_obj, dict):
+        raise ConfigError("config needs an 'algorithm' object with a 'name'")
     try:
-        algorithm = AlgorithmSpec(
-            algo_obj["name"],
-            float(algo_obj.get("alpha", 5.0)),
-            float(algo_obj.get("beta", 1.0)),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    growth_obj = obj.get("growth", {})
-    try:
-        growth = GrowthConfig(
-            max_depth=growth_obj.get("max_depth", 20),
-            min_samples_split=int(growth_obj.get("min_samples_split", 2)),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    try:
+        name, dataset = _dataset_from_ref(obj["dataset"], base_dir)
         config = ExperimentConfig(
             dataset=dataset,
             dataset_name=name,
-            algorithm=algorithm,
-            n_runs=int(obj.get("n_runs", 12)),
-            n_batches=int(obj.get("n_batches", 10)),
-            batch_size=int(obj.get("batch_size", 1000)),
-            test_size=int(obj.get("test_size", 100000)),
-            seed=int(obj.get("seed", 0)),
-            growth=growth,
+            # A JSON integer alpha would otherwise print as "1", not "1.0", in results.csv.
+            algorithm=AlgorithmSpec(
+                **{k: float(v) if k in ("alpha", "beta") else v for k, v in algo_obj.items()}
+            ),
+            growth=GrowthConfig(**obj.get("growth", {})),
+            **{key: int(obj[key]) for key in INT_KEYS if key in obj},
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    alphas = betas = None
-    if "sweep" in obj:
-        sweep_obj = obj["sweep"]
-        if not isinstance(sweep_obj, dict) or set(sweep_obj) - {"alphas", "betas"}:
-            raise ConfigError("'sweep' takes only 'alphas' and 'betas' lists")
-        alphas = [float(a) for a in sweep_obj.get("alphas", [])]
-        betas = [float(b) for b in sweep_obj.get("betas", [])]
+        alphas = betas = None
+        if "sweep" in obj:
+            sweep_obj = obj["sweep"]
+            if not isinstance(sweep_obj, dict) or set(sweep_obj) - {"alphas", "betas"}:
+                raise ConfigError("'sweep' takes only 'alphas' and 'betas' lists")
+            alphas = [float(a) for a in sweep_obj.get("alphas", [])]
+            betas = [float(b) for b in sweep_obj.get("betas", [])]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid config: {exc}") from exc
     return config, alphas, betas
 
 

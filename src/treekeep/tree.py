@@ -191,10 +191,11 @@ def deserialize(text: str) -> Tree:
         raise TreeFormatError(f"non-finite number {token} is not allowed in a tree document")
 
     try:
-        obj = json.loads(text, parse_constant=reject_constant)
+        return _from_obj(json.loads(text, parse_constant=reject_constant), "root")
     except json.JSONDecodeError as exc:
         raise TreeFormatError(f"invalid tree document: {exc}") from exc
-    return _from_obj(obj, "root")
+    except RecursionError:
+        raise TreeFormatError("tree document is nested too deeply to read") from None
 
 
 def _from_obj(obj, path: str) -> Tree:

@@ -68,3 +68,9 @@ def ref_gini(labels, n_classes):
     n = len(labels)
     counts = np.bincount(labels, minlength=n_classes)
     return 1.0 - float(np.sum((counts / n) ** 2))
+
+
+def right_chain_document(depth):
+    """A valid tree document whose right spine is ``depth`` splits long."""
+    split = '{"kind": "split", "feature": 0, "threshold": 0.5, "left": {"kind": "leaf", "class": 0}, "right": '
+    return split * depth + '{"kind": "leaf", "class": 1}' + "}" * depth

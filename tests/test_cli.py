@@ -3,6 +3,7 @@ import json
 import pytest
 
 from treekeep import Leaf, Split, load_tree, save_tree
+from conftest import right_chain_document
 from treekeep.cli import main
 
 FOUR_ROWS = "1.0,0\n2.0,0\n3.0,1\n4.0,1\n"
@@ -124,6 +125,18 @@ def test_diff_dot_out_highlights_changes(tmp_path):
     assert "lightsalmon" in text
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [right_chain_document(1500), "[" * 100000 + "]" * 100000],
+    ids=["right_chain_1500", "nested_brackets"],
+)
+def test_diff_too_deep_tree_exits_3(tmp_path, capsys, doc):
+    path = tmp_path / "deep.json"
+    path.write_text(doc)
+    assert main(["diff", "--a", str(path), "--b", str(path)]) == 3
+    assert "nested too deeply" in capsys.readouterr().err
+
+
 def eval_config(tmp_path, **overrides):
     obj = {
         "dataset": {
@@ -191,6 +204,23 @@ def test_eval_unknown_algorithm_lists_names(tmp_path, capsys):
     assert rc == 3
     err = capsys.readouterr().err
     assert "keep_regrow" in err and "retrain" in err and "keep_original" in err
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"growth": {"max_depth": "5"}},
+        {"algorithm": {"name": "keep_regrow", "alpha": None}},
+        {"n_runs": None},
+        {"growth": []},
+        {"sweep": {"alphas": 5}},
+    ],
+    ids=["max_depth_string", "alpha_null", "n_runs_null", "growth_list", "sweep_alphas_scalar"],
+)
+def test_eval_mistyped_config_value_exits_3(tmp_path, capsys, override):
+    cfg = eval_config(tmp_path, **override)
+    assert main(["eval", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 3
+    assert "invalid config" in capsys.readouterr().err
 
 
 def test_eval_malformed_config_reports_position(tmp_path, capsys):

@@ -128,6 +128,4 @@ def test_grow_beats_single_leaf():
 def test_growth_config_validation():
     with pytest.raises(ValueError):
         GrowthConfig(max_depth=0)
-    with pytest.raises(ValueError):
-        GrowthConfig(min_samples_split=1)
     assert GrowthConfig(max_depth=None).max_depth is None

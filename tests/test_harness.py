@@ -12,6 +12,7 @@ from treekeep import (
 )
 from treekeep.data import Rectangle, SyntheticSpec, synthetic
 from treekeep.errors import ConfigError
+from treekeep.grow import GrowthConfig
 from treekeep.harness import (
     DEMO_SEED,
     AlgorithmSpec,
@@ -193,7 +194,7 @@ def test_run_eval_artifacts_and_rederivable_records(tmp_path):
         assert cells[:6] == result.split(",")[:6]
         assert re.fullmatch(r"\d+\.\d{3}", cells[6])
     manifest = json.loads((out / "manifest.json").read_text())
-    assert set(manifest["growth"]) == {"max_depth", "min_samples_split"}
+    assert set(manifest["growth"]) == {"max_depth"}
     # every record's delta/similarity re-derives from the archived trees
     from dataclasses import replace
 
@@ -250,6 +251,35 @@ def test_config_unknown_algorithm_lists_valid_names():
 def test_config_unknown_keys_rejected():
     with pytest.raises(ConfigError, match="unknown config keys"):
         config_from_dict({"dataset": {"builtin": "iris"}, "algorithm": {"name": "retrain"}, "bogus": 1})
+
+
+@pytest.mark.parametrize(
+    "section, key",
+    [
+        ({"algorithm": {"name": "keep_regrow", "alpah": 0.5}}, "alpah"),
+        ({"growth": {"max_detph": 3}}, "max_detph"),
+    ],
+)
+def test_config_unknown_keys_inside_sections_rejected(section, key):
+    obj = {"dataset": {"builtin": "iris"}, "algorithm": {"name": "keep_regrow"}, **section}
+    with pytest.raises(ConfigError, match=key):
+        config_from_dict(obj)
+
+
+def test_config_omitted_keys_take_dataclass_defaults():
+    config, _, _ = config_from_dict({"dataset": {"builtin": "iris"}, "algorithm": {"name": "retrain"}})
+    assert config == ExperimentConfig(config.dataset, "iris", AlgorithmSpec("retrain"))
+    assert config.growth == GrowthConfig()
+
+
+def test_config_rectangle_missing_label_rejected():
+    rectangle = {"lows": [0, 0], "highs": [0.5, 1]}
+    obj = {
+        "dataset": {"synthetic": {"n_rows": 20, "n_features": 2, "rectangles": [rectangle]}},
+        "algorithm": {"name": "retrain"},
+    }
+    with pytest.raises(ConfigError, match="label"):
+        config_from_dict(obj)
 
 
 def test_config_needs_dataset():

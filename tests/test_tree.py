@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_dataset, random_tree, ref_classify
+from conftest import random_dataset, random_tree, ref_classify, right_chain_document
 from treekeep import (
     Leaf,
     Split,
@@ -135,6 +135,16 @@ def test_deserialize_missing_child():
 def test_deserialize_garbage():
     with pytest.raises(TreeFormatError):
         deserialize("not json at all {")
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [right_chain_document(1500), "[" * 100000 + "]" * 100000],
+    ids=["right_chain_1500", "nested_brackets"],
+)
+def test_deserialize_too_deep_is_format_error(doc):
+    with pytest.raises(TreeFormatError, match="nested too deeply"):
+        deserialize(doc)
 
 
 def test_node_at():
