@@ -36,7 +36,6 @@ from .harness import (
     RunRecord,
     SummaryRow,
     accuracy_ci_halfwidth,
-    iris_demo,
     run_eval,
     run_experiment,
     summarize,
@@ -48,7 +47,6 @@ from .tree import (
     Leaf,
     Split,
     Tree,
-    classify,
     depth,
     deserialize,
     load_tree,

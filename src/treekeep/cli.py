@@ -171,6 +171,9 @@ def main(argv=None) -> int:
     except (TreekeepError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except RecursionError:
+        print("error: tree is nested too deeply to process", file=sys.stderr)
+        return EXIT_INPUT
     except Exception as exc:  # pragma: no cover - unexpected
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -207,16 +207,10 @@ class BatchPlan:
     source: Dataset
     batch_indices: tuple[np.ndarray, ...]
     test_indices: np.ndarray
-    seed: object
-    batch_size: int
 
     @property
     def n_batches(self) -> int:
         return len(self.batch_indices)
-
-    @property
-    def batches(self) -> list[Dataset]:
-        return [self.source.subset(ix) for ix in self.batch_indices]
 
     @property
     def test(self) -> Dataset:
@@ -268,7 +262,7 @@ def make_batch_plan(
             f"only {len(rest)} rows left for the test set (requested {test_size})"
         )
     test = rest[: min(test_size, len(rest))]
-    return BatchPlan(data, batches, test, seed, batch_size)
+    return BatchPlan(data, batches, test)
 
 
 # ---------------------------------------------------------------------------

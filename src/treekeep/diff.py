@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .tree import Leaf, NodeId, Split, Tree, node_count
+from .tree import Leaf, NodeId, Split, Tree, iter_nodes, node_count
 
 __all__ = ["DiffEntry", "DiffReport", "structural_diff", "similarity", "diff_table"]
 
@@ -63,7 +63,7 @@ def structural_diff(prev: Tree, new: Tree) -> DiffReport:
 def _walk(prev, new, path, ancestor_changed, entries):
     score = _match_score(prev, new)
     if score == 0.0:
-        _mark_all_changed(new, path, entries)
+        entries.extend(DiffEntry(p, "changed", 0.0) for p, _ in iter_nodes(new, path))
         return
     exact = score == 1.0
     status = "kept" if exact and not ancestor_changed else "changed"
@@ -72,13 +72,6 @@ def _walk(prev, new, path, ancestor_changed, entries):
         below_changed = ancestor_changed or not exact
         _walk(prev.left, new.left, path + "L", below_changed, entries)
         _walk(prev.right, new.right, path + "R", below_changed, entries)
-
-
-def _mark_all_changed(node, path, entries):
-    entries.append(DiffEntry(path, "changed", 0.0))
-    if isinstance(node, Split):
-        _mark_all_changed(node.left, path + "L", entries)
-        _mark_all_changed(node.right, path + "R", entries)
 
 
 def similarity(prev: Tree, new: Tree) -> float:

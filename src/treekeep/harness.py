@@ -53,9 +53,6 @@ __all__ = [
     "write_results",
     "run_eval",
     "config_from_dict",
-    "iris_demo",
-    "IrisDemo",
-    "DEMO_SEED",
 ]
 
 VALID_ALGORITHMS = ("keep_regrow", "retrain", "keep_original")
@@ -422,7 +419,10 @@ def run_eval(
         "summary": "summary.csv",
         "timings": "timings.csv",
         "trees_dir": "trees",
-        "tree_files": sorted(os.listdir(trees_dir)),
+        # This run's trees only, even when trees/ holds files from earlier runs.
+        "tree_files": sorted(
+            {archive_name(replace(r, batch=b)) for r in records for b in range(r.batch + 1)}
+        ),
         "version": __version__,
         "elapsed_s": round(time.perf_counter() - started, 3),
     }
@@ -449,35 +449,49 @@ _CONFIG_KEYS = {
 }
 # Integer settings a config document may set and `treekeep eval` may override.
 INT_KEYS = ("n_runs", "n_batches", "batch_size", "test_size", "seed")
+# The keys each kind of dataset reference accepts; the first kind present decides.
+_DATASET_KEYS = {
+    "builtin": {"builtin", "label_column"},
+    "manifest": {"manifest"},
+    "path": {"path", "label_column", "has_header", "name"},
+    "synthetic": {"synthetic", "name"},
+}
+
+
+def _reject_unknown(obj, allowed, what: str) -> None:
+    unknown = set(obj) - set(allowed)
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+
+
+def _rectangle(obj) -> Rectangle:
+    _reject_unknown(obj, [f.name for f in fields(Rectangle)], "rectangle")
+    return Rectangle(tuple(obj["lows"]), tuple(obj["highs"]), int(obj["label"]))
 
 
 def _dataset_from_ref(ref, base_dir: str) -> tuple[str, Dataset]:
     if not isinstance(ref, dict):
         raise ConfigError("'dataset' must be an object")
-    if "builtin" in ref:
+    kind = next((k for k in _DATASET_KEYS if k in ref), None)
+    if kind is None:
+        raise ConfigError(f"dataset must specify one of: {', '.join(map(repr, _DATASET_KEYS))}")
+    _reject_unknown(ref, _DATASET_KEYS[kind], f"'{kind}' dataset")
+    if kind == "builtin":
         name = ref["builtin"]
         return name, load_csv(builtin_dataset_path(name), ref.get("label_column", -1), True)
-    if "manifest" in ref:
+    if kind == "manifest":
         manifest = load_manifest(os.path.join(base_dir, ref["manifest"]))
         return manifest.name, dataset_from_manifest(manifest)
-    if "path" in ref:
+    if kind == "path":
         if "label_column" not in ref:
             raise ConfigError("dataset with 'path' needs 'label_column'")
         path = os.path.join(base_dir, ref["path"])
         name = ref.get("name") or os.path.splitext(os.path.basename(ref["path"]))[0]
         return name, load_csv(path, ref["label_column"], bool(ref.get("has_header", False)))
-    if "synthetic" in ref:
-        spec_obj = dict(ref["synthetic"])
-        name = ref.get("name", "synthetic")
-        seed = spec_obj.pop("seed", 0)
-        rects = tuple(
-            Rectangle(tuple(r["lows"]), tuple(r["highs"]), int(r["label"]))
-            for r in spec_obj.pop("rectangles", [])
-        )
-        return name, synthetic(SyntheticSpec(rectangles=rects, **spec_obj), seed)
-    raise ConfigError(
-        "dataset must specify one of: 'builtin', 'path', 'manifest', 'synthetic'"
-    )
+    spec_obj = dict(ref["synthetic"])
+    seed = spec_obj.pop("seed", 0)
+    rects = tuple(_rectangle(r) for r in spec_obj.pop("rectangles", []))
+    return ref.get("name", "synthetic"), synthetic(SyntheticSpec(rectangles=rects, **spec_obj), seed)
 
 
 def config_from_dict(obj: dict, base_dir: str = "."):
@@ -488,9 +502,7 @@ def config_from_dict(obj: dict, base_dir: str = "."):
     """
     if not isinstance(obj, dict):
         raise ConfigError("config document must be an object")
-    unknown = set(obj) - _CONFIG_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    _reject_unknown(obj, _CONFIG_KEYS, "config")
     if "dataset" not in obj:
         raise ConfigError("config needs a 'dataset' entry")
     algo_obj = obj.get("algorithm")
@@ -518,44 +530,3 @@ def config_from_dict(obj: dict, base_dir: str = "."):
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
     return config, alphas, betas
-
-
-# ---------------------------------------------------------------------------
-# The iris walkthrough: a tenth of the data first, the rest later
-# ---------------------------------------------------------------------------
-
-# Chosen so the walkthrough shows the intended shape: upper structure kept,
-# one lower condition regrown with a shifted threshold.
-DEMO_SEED = 21
-
-
-@dataclass(frozen=True)
-class IrisDemo:
-    initial: Tree
-    updated: Tree
-    delta: int
-    similarity: float
-    initial_misclassified: int
-    updated_misclassified: int
-
-
-def iris_demo(alpha: float = 1.0, beta: float = 1.0, seed: int = DEMO_SEED) -> IrisDemo:
-    """Train on a one-tenth iris sample, then update on the full dataset.
-
-    With alpha=1, beta=1 the update keeps the sample-grown root split and
-    regrows lower structure where the extra data disagrees with it.
-    """
-    iris = load_csv(builtin_dataset_path("iris"), "species", has_header=True)
-    plan = make_batch_plan(iris, 1, iris.n_rows // 10, 0, seed)
-    params = LossParams(alpha, beta)
-    initial = retrain(plan.batch(0), params)
-    updated = update(initial, iris, params)
-    report = structural_diff(initial, updated)
-    return IrisDemo(
-        initial=initial,
-        updated=updated,
-        delta=report.delta,
-        similarity=report.similarity,
-        initial_misclassified=misclassification_count(initial, iris),
-        updated_misclassified=misclassification_count(updated, iris),
-    )

@@ -23,7 +23,6 @@ __all__ = [
     "Split",
     "Tree",
     "NodeId",
-    "classify",
     "predict",
     "node_count",
     "depth",
@@ -71,38 +70,19 @@ class Split:
 Tree = Union[Split, Leaf]
 
 
-def classify(tree: Tree, row) -> int:
-    """Route one feature vector to a leaf and return its class label.
-
-    Equal-to-threshold goes left.  Raises InputShapeError if a split reached
-    along the path indexes past the end of ``row``.
-    """
-    node = tree
-    while isinstance(node, Split):
-        if node.feature >= len(row):
-            raise InputShapeError(
-                f"tree splits on feature {node.feature} but the row has only {len(row)} entries"
-            )
-        node = node.left if row[node.feature] <= node.threshold else node.right
-    return node.class_label
-
-
 def max_feature(tree: Tree) -> int:
     """Largest feature index any split tests, or -1 for a bare leaf."""
-    if isinstance(tree, Leaf):
-        return -1
-    return max(tree.feature, max_feature(tree.left), max_feature(tree.right))
+    return max((node.feature for _, node in iter_nodes(tree) if isinstance(node, Split)), default=-1)
 
 
 def predict(tree: Tree, features: np.ndarray) -> np.ndarray:
-    """Classify every row of a feature matrix; vectorized ``classify``."""
+    """Class label of every row of a feature matrix; equal-to-threshold goes left."""
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
         raise InputShapeError(f"expected a 2-D feature matrix, got shape {features.shape}")
-    if max_feature(tree) >= features.shape[1]:
-        raise InputShapeError(
-            f"tree splits on feature {max_feature(tree)} but data has {features.shape[1]} columns"
-        )
+    top = max_feature(tree)
+    if top >= features.shape[1]:
+        raise InputShapeError(f"tree splits on feature {top} but data has {features.shape[1]} columns")
     out = np.empty(features.shape[0], dtype=np.int64)
     _predict_into(tree, features, np.arange(features.shape[0]), out)
     return out
@@ -121,24 +101,23 @@ def _predict_into(node, features, idx, out):
 
 def node_count(tree: Tree) -> int:
     """Total number of nodes, decision nodes and leaves together."""
-    if isinstance(tree, Leaf):
-        return 1
-    return 1 + node_count(tree.left) + node_count(tree.right)
+    return sum(1 for _ in iter_nodes(tree))
 
 
 def depth(tree: Tree) -> int:
     """Number of split levels on the longest root-to-leaf path (leaf -> 0)."""
-    if isinstance(tree, Leaf):
-        return 0
-    return 1 + max(depth(tree.left), depth(tree.right))
+    return max(len(path) for path, _ in iter_nodes(tree))
 
 
 def iter_nodes(tree: Tree, path: NodeId = "") -> Iterator[tuple[NodeId, Tree]]:
-    """Preorder traversal yielding (path, node) pairs."""
-    yield path, tree
-    if isinstance(tree, Split):
-        yield from iter_nodes(tree.left, path + "L")
-        yield from iter_nodes(tree.right, path + "R")
+    """Preorder traversal yielding (path, node) pairs; iterative, so any depth works."""
+    stack = [(path, tree)]
+    while stack:
+        path, node = stack.pop()
+        yield path, node
+        if isinstance(node, Split):
+            stack.append((path + "R", node.right))
+            stack.append((path + "L", node.left))
 
 
 def node_at(tree: Tree, path: NodeId) -> Tree:

@@ -37,10 +37,10 @@ def update(prev: Tree, data: Dataset, params: LossParams, growth: GrowthConfig =
     """
     if data.n_rows == 0:
         raise ValueError("update requires a non-empty dataset")
-    if max_feature(prev) >= data.n_features:
+    top = max_feature(prev)
+    if top >= data.n_features:
         raise InputShapeError(
-            f"previous tree splits on feature {max_feature(prev)} "
-            f"but data has {data.n_features} columns"
+            f"previous tree splits on feature {top} but data has {data.n_features} columns"
         )
     tree, _ = _optimize(prev, data, params, growth)
     return tree

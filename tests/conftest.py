@@ -6,7 +6,13 @@ duplicate values, boundary thresholds, and empty partitions actually occur.
 
 import numpy as np
 
-from treekeep import Dataset, Leaf, Split
+from treekeep import Dataset, Leaf, Split, load_tree
+from treekeep.cli import main
+from treekeep.data import builtin_dataset_path, load_csv, make_batch_plan
+
+# Seed of the 15-row iris sample: updating its tree on full iris keeps the
+# root split and regrows one lower condition with a shifted threshold.
+IRIS_SAMPLE_SEED = 21
 
 
 def random_dataset(rng, n_rows=None, n_features=3, n_classes=3, max_rows=64):
@@ -50,7 +56,7 @@ def mutate_tree(rng, tree):
 
 
 def ref_classify(tree, row):
-    """Independent walk used to cross-check classify/predict."""
+    """Independent row-at-a-time walk used to cross-check predict."""
     while isinstance(tree, Split):
         tree = tree.left if row[tree.feature] <= tree.threshold else tree.right
     return tree.class_label
@@ -74,3 +80,30 @@ def right_chain_document(depth):
     """A valid tree document whose right spine is ``depth`` splits long."""
     split = '{"kind": "split", "feature": 0, "threshold": 0.5, "left": {"kind": "leaf", "class": 0}, "right": '
     return split * depth + '{"kind": "leaf", "class": 1}' + "}" * depth
+
+
+def iris_walkthrough(work, *update_flags):
+    """README's CLI walkthrough, run in directory ``work``.
+
+    Grows a tree on a 15-row iris sample, then updates it on full iris
+    (alpha=1, beta=1), passing ``update_flags`` to ``update``.  Returns the
+    grown and the updated tree.
+    """
+    iris_path = builtin_dataset_path("iris")
+    iris = load_csv(iris_path, "species", has_header=True)
+    sample = make_batch_plan(iris, 1, 15, 0, IRIS_SAMPLE_SEED).batch(0)
+    sample_path = work / "iris_sample.csv"
+    with open(sample_path, "w") as fh:
+        fh.write("sepal_length,sepal_width,petal_length,petal_width,species\n")
+        for row, label in zip(sample.features, sample.labels):
+            cells = [repr(float(v)) for v in row] + [sample.label_names[label]]
+            fh.write(",".join(cells) + "\n")
+    first, second = work / "t0.json", work / "t1.json"
+    common = ["--label-col", "species", "--has-header", "--alpha", "1"]
+    assert main(["grow", "--data", str(sample_path), *common, "--out", str(first)]) == 0
+    rc = main(
+        ["update", "--prev-tree", str(first), "--data", iris_path, *common, "--beta", "1",
+         "--out", str(second), *update_flags]
+    )
+    assert rc == 0
+    return load_tree(first), load_tree(second)

@@ -1,9 +1,10 @@
 import json
+import sys
 
 import pytest
 
 from treekeep import Leaf, Split, load_tree, save_tree
-from conftest import right_chain_document
+from conftest import iris_walkthrough, right_chain_document
 from treekeep.cli import main
 
 FOUR_ROWS = "1.0,0\n2.0,0\n3.0,1\n4.0,1\n"
@@ -137,6 +138,24 @@ def test_diff_too_deep_tree_exits_3(tmp_path, capsys, doc):
     assert "nested too deeply" in capsys.readouterr().err
 
 
+def test_update_too_deep_tree_exits_3(tmp_path, capsys):
+    # the deepest right chain that diff still reads is too deep for update's
+    # recursion, which must end as bad input, not as an internal error
+    path = tmp_path / "deep.json"
+    for depth in range(sys.getrecursionlimit(), 0, -1):
+        path.write_text(right_chain_document(depth))
+        if main(["diff", "--a", str(path), "--b", str(path)]) == 0:
+            break
+    capsys.readouterr()
+    data = tmp_path / "three.csv"
+    data.write_text("1.0,0\n2.0,1\n3.0,1\n")
+    rc = main(
+        ["update", "--prev-tree", str(path), "--data", str(data), "--out", str(tmp_path / "o.json")]
+    )
+    assert rc == 3
+    assert "error: tree is nested too deeply to process" in capsys.readouterr().err
+
+
 def eval_config(tmp_path, **overrides):
     obj = {
         "dataset": {
@@ -223,6 +242,12 @@ def test_eval_mistyped_config_value_exits_3(tmp_path, capsys, override):
     assert "invalid config" in capsys.readouterr().err
 
 
+def test_eval_unknown_dataset_key_exits_3(tmp_path, capsys):
+    cfg = eval_config(tmp_path, dataset={"builtin": "iris", "nmae": "flowers"})
+    assert main(["eval", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 3
+    assert "nmae" in capsys.readouterr().err
+
+
 def test_eval_malformed_config_reports_position(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"dataset": \n  oops}')
@@ -240,34 +265,7 @@ def test_usage_error_exit_code():
 def test_iris_walkthrough_via_cli(tmp_path, capsys):
     # grow on a one-tenth sample, then update on the full dataset: the root
     # split survives and some lower structure is regrown
-    from treekeep.data import builtin_dataset_path, load_csv, make_batch_plan
-    from treekeep.harness import DEMO_SEED
-
-    iris_path = builtin_dataset_path("iris")
-    iris = load_csv(iris_path, "species", has_header=True)
-    plan = make_batch_plan(iris, 1, 15, 0, DEMO_SEED)
-    sample = plan.batch(0)
-    sample_path = tmp_path / "iris_sample.csv"
-    with open(sample_path, "w") as fh:
-        fh.write("sepal_length,sepal_width,petal_length,petal_width,species\n")
-        for row, label in zip(sample.features, sample.labels):
-            cells = [repr(float(v)) for v in row] + [sample.label_names[label]]
-            fh.write(",".join(cells) + "\n")
-
-    first = tmp_path / "t0.json"
-    rc = main(
-        ["grow", "--data", str(sample_path), "--label-col", "species", "--has-header",
-         "--alpha", "1", "--out", str(first)]
-    )
-    assert rc == 0
-
-    second = tmp_path / "t1.json"
-    rc = main(
-        ["update", "--prev-tree", str(first), "--data", iris_path, "--label-col", "species",
-         "--has-header", "--alpha", "1", "--beta", "1", "--out", str(second)]
-    )
-    assert rc == 0
-    t0, t1 = load_tree(first), load_tree(second)
+    t0, t1 = iris_walkthrough(tmp_path)
     assert (t0.feature, t0.threshold) == (t1.feature, t1.threshold)
     assert "delta" in capsys.readouterr().out
     assert t0 != t1

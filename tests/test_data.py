@@ -139,7 +139,7 @@ def test_batch_plan_deterministic():
 def test_batch_plan_disjoint_and_cumulative():
     data = make_identifiable(120)
     plan = make_batch_plan(data, 3, 20, 40, seed=9)
-    ids = [set(b.features[:, 0].tolist()) for b in plan.batches]
+    ids = [set(plan.batch(t).features[:, 0].tolist()) for t in range(plan.n_batches)]
     test_ids = set(plan.test.features[:, 0].tolist())
     assert len(ids[0] | ids[1] | ids[2] | test_ids) == 100
     assert plan.cumulative(1).n_rows == 40

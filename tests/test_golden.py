@@ -10,9 +10,8 @@ import os
 import sys
 from pathlib import Path
 
+from conftest import iris_walkthrough
 from treekeep.cli import main
-from treekeep.data import builtin_dataset_path, load_csv, make_batch_plan
-from treekeep.harness import DEMO_SEED
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -49,26 +48,8 @@ def _eval(config, work: Path, out: Path) -> None:
 
 
 def _update(work: Path, out: Path) -> None:
-    """Grow on the 15-row iris sample, then update on full iris (alpha=1, beta=1)."""
-    iris_path = builtin_dataset_path("iris")
-    iris = load_csv(iris_path, "species", has_header=True)
-    sample = make_batch_plan(iris, 1, 15, 0, DEMO_SEED).batch(0)
-    sample_path = work / "iris_sample.csv"
-    with open(sample_path, "w") as fh:
-        fh.write("sepal_length,sepal_width,petal_length,petal_width,species\n")
-        for row, label in zip(sample.features, sample.labels):
-            cells = [repr(float(v)) for v in row] + [sample.label_names[label]]
-            fh.write(",".join(cells) + "\n")
-    first = work / "t0.json"
-    common = ["--label-col", "species", "--has-header", "--alpha", "1"]
-    assert main(["grow", "--data", str(sample_path), *common, "--out", str(first)]) == 0
     out.mkdir(parents=True)
-    rc = main(
-        ["update", "--prev-tree", str(first), "--data", iris_path, *common, "--beta", "1",
-         "--out", str(work / "t1.json"), "--diff-out", str(out / "diff.tsv"),
-         "--dot-out", str(out / "diff.dot")]
-    )
-    assert rc == 0
+    iris_walkthrough(work, "--diff-out", str(out / "diff.tsv"), "--dot-out", str(out / "diff.dot"))
 
 
 def build(root: Path) -> None:

@@ -4,7 +4,6 @@ import re
 import pytest
 
 from treekeep import (
-    Split,
     accuracy_ci_halfwidth,
     load_tree,
     structural_diff,
@@ -14,13 +13,11 @@ from treekeep.data import Rectangle, SyntheticSpec, synthetic
 from treekeep.errors import ConfigError
 from treekeep.grow import GrowthConfig
 from treekeep.harness import (
-    DEMO_SEED,
     AlgorithmSpec,
     ExperimentConfig,
     RunRecord,
     archive_name,
     config_from_dict,
-    iris_demo,
     run_eval,
     run_experiment,
     sweep,
@@ -282,20 +279,67 @@ def test_config_rectangle_missing_label_rejected():
         config_from_dict(obj)
 
 
+def test_config_rectangle_unknown_key_rejected():
+    rectangle = {"lows": [0, 0], "highs": [0.5, 1], "label": 1, "lable": 3}
+    obj = {
+        "dataset": {"synthetic": {"n_rows": 20, "n_features": 2, "rectangles": [rectangle]}},
+        "algorithm": {"name": "retrain"},
+    }
+    with pytest.raises(ConfigError, match="lable"):
+        config_from_dict(obj)
+
+
+@pytest.mark.parametrize(
+    "ref, key",
+    [
+        ({"builtin": "iris", "has_header": True}, "has_header"),
+        ({"manifest": "rows.json", "name": "rows"}, "name"),
+        ({"path": "points.csv", "label_column": 2, "sep": ";"}, "sep"),
+        ({"synthetic": {"n_rows": 20, "n_features": 2}, "nmae": "blobs"}, "nmae"),
+        ({"builtin": "iris", "path": "points.csv"}, "path"),
+    ],
+    ids=["builtin", "manifest", "path", "synthetic", "two_kinds"],
+)
+def test_config_dataset_ref_unknown_key_rejected(ref, key):
+    with pytest.raises(ConfigError, match=key):
+        config_from_dict({"dataset": ref, "algorithm": {"name": "retrain"}})
+
+
+def test_config_dataset_ref_accepts_every_key_of_its_kind(tmp_path):
+    (tmp_path / "points.csv").write_text("x,y,target\n1,2,yes\n3,4,no\n")
+    refs = [
+        {"builtin": "iris", "label_column": "species"},
+        {"path": "points.csv", "label_column": "target", "has_header": True, "name": "pts"},
+        {"synthetic": {"n_rows": 20, "n_features": 2}, "name": "blobs"},
+    ]
+    for ref, name in zip(refs, ["iris", "pts", "blobs"]):
+        obj = {"dataset": ref, "algorithm": {"name": "retrain"}}
+        config, _, _ = config_from_dict(obj, str(tmp_path))
+        assert config.dataset_name == name
+
+
+@pytest.mark.parametrize("grids", [None, ([0, 1], [0, 1])], ids=["stream", "sweep"])
+def test_manifest_tree_files_are_the_archived_trees(tmp_path, grids):
+    out = tmp_path / "exp"
+    run_eval(make_config(), out, *(grids or ()))
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["tree_files"] == sorted(p.name for p in (out / "trees").iterdir())
+
+
+def test_manifest_tree_files_skip_earlier_runs_in_the_same_dir(tmp_path):
+    out = tmp_path / "exp"
+    run_eval(make_config(n_runs=2), out)
+    run_eval(make_config(n_runs=1), out)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["n_records"] == 3
+    assert len(list((out / "trees").iterdir())) == 6
+    expected = sorted(archive_name(r) for r in run_experiment(make_config(n_runs=1)))
+    assert manifest["tree_files"] == expected
+
+
 def test_config_needs_dataset():
     with pytest.raises(ConfigError, match="dataset"):
         config_from_dict({"algorithm": {"name": "retrain"}})
-
-
-def test_iris_demo_keeps_root_and_improves_fit():
-    demo = iris_demo(seed=DEMO_SEED)
-    assert isinstance(demo.initial, Split) and isinstance(demo.updated, Split)
-    assert (demo.initial.feature, demo.initial.threshold) == (
-        demo.updated.feature,
-        demo.updated.threshold,
-    )
-    assert demo.delta > 0
-    assert demo.updated_misclassified <= demo.initial_misclassified
 
 
 def test_config_dataset_path_defaults_name_to_stem(tmp_path):

@@ -7,6 +7,7 @@ import shlex
 from dataclasses import fields
 from pathlib import Path
 
+import treekeep
 from treekeep.cli import build_parser
 from treekeep.grow import GrowthConfig
 from treekeep.harness import _CONFIG_KEYS, AlgorithmSpec
@@ -44,3 +45,11 @@ def test_readme_config_example_keys_are_accepted():
     assert set(example) <= _CONFIG_KEYS
     assert set(example["algorithm"]) <= {f.name for f in fields(AlgorithmSpec)}
     assert set(example["growth"]) <= {f.name for f in fields(GrowthConfig)}
+
+
+def test_readme_library_names_exist():
+    (example,) = [body for lang, body in FENCES if lang == "python"]
+    names = set(re.findall(r"\btk\.(\w+)", example))
+    assert names >= {"load_csv", "retrain", "update"}
+    missing = sorted(name for name in names if not hasattr(treekeep, name))
+    assert not missing, f"README uses names treekeep does not export: {missing}"

@@ -5,7 +5,6 @@ from conftest import random_dataset, random_tree, ref_classify, right_chain_docu
 from treekeep import (
     Leaf,
     Split,
-    classify,
     depth,
     deserialize,
     node_at,
@@ -22,21 +21,13 @@ STUMP = Split(0, 2.5, Leaf(0), Leaf(1))
 FULL2 = Split(0, 4.0, Split(1, 2.0, Leaf(0), Leaf(1)), Split(1, 6.0, Leaf(1), Leaf(0)))
 
 
-def test_classify_leaf_ignores_features():
-    assert classify(Leaf(0), [9.9]) == 0
-
-
-def test_classify_boundary_value_goes_left():
-    assert classify(STUMP, [2.5]) == 0
-
-
-def test_classify_strictly_greater_goes_right():
-    assert classify(STUMP, [3.0]) == 1
-
-
-def test_classify_short_row_raises():
-    with pytest.raises(InputShapeError):
-        classify(Split(3, 1.0, Leaf(0), Leaf(1)), [1.0, 2.0])
+@pytest.mark.parametrize(
+    "tree, row, expected",
+    [(Leaf(0), [9.9], 0), (STUMP, [2.5], 0), (STUMP, [3.0], 1)],
+    ids=["leaf_ignores_features", "boundary_value_goes_left", "strictly_greater_goes_right"],
+)
+def test_predict_routes_row(tree, row, expected):
+    assert predict(tree, np.array([row])).tolist() == [expected]
 
 
 def test_predict_agrees_with_reference_walk():
@@ -67,6 +58,18 @@ def test_node_count_recursion_identity():
         t = random_tree(rng)
         if isinstance(t, Split):
             assert node_count(t) == 1 + node_count(t.left) + node_count(t.right)
+
+
+def test_walkers_return_on_a_5000_deep_chain():
+    tree = Leaf(1)
+    for _ in range(5000):
+        tree = Split(0, 0.5, Leaf(0), tree)
+    assert node_count(tree) == 10001
+    assert depth(tree) == 5000
+    assert max_feature(tree) == 0
+    paths = [path for path, _ in iter_nodes(tree)]
+    assert len(paths) == 10001 and paths[-1] == "R" * 5000
+    assert to_dot(tree).count(" -> ") == 10000
 
 
 def test_depth():
