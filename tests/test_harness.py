@@ -279,16 +279,6 @@ def test_config_rectangle_missing_label_rejected():
         config_from_dict(obj)
 
 
-def test_config_rectangle_unknown_key_rejected():
-    rectangle = {"lows": [0, 0], "highs": [0.5, 1], "label": 1, "lable": 3}
-    obj = {
-        "dataset": {"synthetic": {"n_rows": 20, "n_features": 2, "rectangles": [rectangle]}},
-        "algorithm": {"name": "retrain"},
-    }
-    with pytest.raises(ConfigError, match="lable"):
-        config_from_dict(obj)
-
-
 @pytest.mark.parametrize(
     "ref, key",
     [
@@ -297,8 +287,18 @@ def test_config_rectangle_unknown_key_rejected():
         ({"path": "points.csv", "label_column": 2, "sep": ";"}, "sep"),
         ({"synthetic": {"n_rows": 20, "n_features": 2}, "nmae": "blobs"}, "nmae"),
         ({"builtin": "iris", "path": "points.csv"}, "path"),
+        (
+            {
+                "synthetic": {
+                    "n_rows": 20,
+                    "n_features": 2,
+                    "rectangles": [{"lows": [0, 0], "highs": [0.5, 1], "label": 1, "lable": 3}],
+                }
+            },
+            "lable",
+        ),
     ],
-    ids=["builtin", "manifest", "path", "synthetic", "two_kinds"],
+    ids=["builtin", "manifest", "path", "synthetic", "two_kinds", "rectangle"],
 )
 def test_config_dataset_ref_unknown_key_rejected(ref, key):
     with pytest.raises(ConfigError, match=key):
