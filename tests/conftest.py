@@ -6,7 +6,7 @@ duplicate values, boundary thresholds, and empty partitions actually occur.
 
 import numpy as np
 
-from treekeep import Dataset, Leaf, Split, load_tree
+from treekeep import Dataset, GrowthConfig, Leaf, Split, grow, load_tree, loss, prune
 from treekeep.cli import main
 from treekeep.data import builtin_dataset_path, load_csv, make_batch_plan
 
@@ -74,6 +74,34 @@ def ref_gini(labels, n_classes):
     n = len(labels)
     counts = np.bincount(labels, minlength=n_classes)
     return 1.0 - float(np.sum((counts / n) ** 2))
+
+
+def ref_update(prev, data, params, growth=GrowthConfig()):
+    """``update`` as it was before the fused pass: every regrow grows a full
+    subtree, then prunes it, and nothing is shared between regrows."""
+    return _ref_optimize(prev, data, params, growth)[0]
+
+
+def _ref_optimize(prev, data, params, growth):
+    if isinstance(prev, Leaf):
+        keep = prev
+    else:
+        left_data, right_data = data.partition(prev.feature, prev.threshold)
+        if left_data.n_rows == 0:
+            left = prev.left
+        else:
+            left, _ = _ref_optimize(prev.left, left_data, params, growth)
+        if right_data.n_rows == 0:
+            right = prev.right
+        else:
+            right, _ = _ref_optimize(prev.right, right_data, params, growth)
+        keep = Split(prev.feature, prev.threshold, left, right)
+    keep_loss = loss(prev, keep, data, params).total
+    regrown = prune(grow(data, growth), data, params)
+    regrow_loss = loss(prev, regrown, data, params).total
+    if keep_loss <= regrow_loss:
+        return keep, keep_loss
+    return regrown, regrow_loss
 
 
 def right_chain_document(depth):

@@ -1,9 +1,17 @@
+import importlib
+import itertools
+
 import numpy as np
 import pytest
 
 from conftest import random_dataset, ref_gini, ref_misclassified
-from treekeep import Dataset, GrowthConfig, Leaf, Split, best_split, grow
+from treekeep import Dataset, GrowthConfig, Leaf, LossParams, Split, best_split, grow, prune
+from treekeep.grow import grow_pruned
+from treekeep.prune import _prune
 from treekeep.tree import depth
+
+# The module itself: the package re-exports the function ``grow``.
+GROW_MODULE = importlib.import_module("treekeep.grow")
 
 
 def dataset(x, y, n_classes=2):
@@ -129,3 +137,47 @@ def test_growth_config_validation():
     with pytest.raises(ValueError):
         GrowthConfig(max_depth=0)
     assert GrowthConfig(max_depth=None).max_depth is None
+
+
+def grown_then_pruned(data, max_depth, p):
+    """The unfused reference: the tree and float cost of prune(grow(...))."""
+    grown = grow(data, GrowthConfig(max_depth))
+    tree, cost = _prune(grown, data, p + 0.0, 0)
+    assert tree == prune(grown, data, LossParams(p, 0))
+    return tree, cost
+
+
+def test_grow_pruned_equals_grow_then_prune():
+    rng = np.random.default_rng(34)
+    grid = itertools.product([0.0, 0.1, 1 / 3, 0.5, 1.0, 2.5, 5.0], [1, 2, 3, None])
+    for p, max_depth in list(grid) * 12:  # 336 datasets
+        data = random_dataset(rng, n_classes=int(rng.integers(2, 4)))
+        tree, cost = grow_pruned(data, GrowthConfig(max_depth), LossParams(p, 0), {})
+        assert (tree, cost) == grown_then_pruned(data, max_depth, p)
+        assert type(cost) is float
+
+
+@pytest.mark.parametrize(
+    "p, m, x, y",
+    [
+        (0.5, 1, [1, 2, 3], [0, 0, 1]),
+        (1.0, 2, [1, 2, 3, 4, 5], [0, 0, 0, 1, 1]),
+    ],
+)
+def test_grow_pruned_stops_early_at_m_equal_2p(monkeypatch, p, m, x, y):
+    data = dataset(x, y)
+    searched = []
+    monkeypatch.setattr(GROW_MODULE, "best_split", lambda d: searched.append(d) or best_split(d))
+    tree, cost = grow_pruned(data, GrowthConfig(), LossParams(p, 0), {})
+    assert (tree, cost) == (Leaf(0), m + p)
+    assert searched == []
+    # The skipped split would tie the leaf, and ties terminate.
+    assert best_split(data) is not None
+    assert grown_then_pruned(data, None, p) == (tree, cost)
+
+
+def test_grow_pruned_splits_just_above_2p():
+    # m = 2 > 2p = 1.8: the stump (2.7) beats the leaf (2.9), so no early stop.
+    tree, cost = grow_pruned(FOUR, GrowthConfig(), LossParams(0.9, 0), {})
+    assert tree == Split(0, 2.5, Leaf(0), Leaf(1))
+    assert (tree, cost) == grown_then_pruned(FOUR, None, 0.9)

@@ -1,13 +1,16 @@
+import importlib
+
 import numpy as np
 import pytest
 
-from conftest import random_dataset, random_tree
+from conftest import random_dataset, random_tree, ref_update
 from treekeep import (
     Dataset,
     GrowthConfig,
     Leaf,
     LossParams,
     Split,
+    best_split,
     change_count,
     grow,
     keep_original,
@@ -173,3 +176,54 @@ def test_update_max_depth_is_absolute():
     growth = GrowthConfig(max_depth=2)
     prev = retrain(data.subset(np.arange(15)), LossParams(0, 0), growth)
     assert depth(update(prev, data, LossParams(0, 0), growth)) <= 2
+
+
+def random_prev(rng, data):
+    """A previous tree for ``data``: arbitrary, grown on other data, or
+    retrained on a prefix of ``data`` (so regrows meet the same partitions)."""
+    kind = rng.integers(3)
+    if kind == 0:
+        return random_tree(rng)
+    if kind == 1:
+        return grow(random_dataset(rng, max_rows=40))
+    prefix = data.subset(np.arange(int(rng.integers(1, data.n_rows + 1))))
+    return retrain(prefix, LossParams(float(rng.choice([0.0, 0.5, 1.0])), 0.0))
+
+
+def test_update_equals_grow_then_prune_oracle():
+    rng = np.random.default_rng(57)
+    penalties = [0.0, 0.1, 0.5, 1.0, 2.5, 5.0]
+    for _ in range(240):
+        data = random_dataset(rng, n_classes=int(rng.integers(2, 4)))
+        prev = random_prev(rng, data)
+        params = LossParams(float(rng.choice(penalties)), float(rng.choice(penalties)))
+        growth = GrowthConfig([1, 2, 3, None, 20][int(rng.integers(5))])
+        assert update(prev, data, params, growth) == ref_update(prev, data, params, growth)
+
+
+def tight_box(data):
+    return data.features.min(axis=0).tobytes() + data.features.max(axis=0).tobytes()
+
+
+def test_update_searches_each_partition_once(monkeypatch):
+    rng = np.random.default_rng(3)
+    data = random_dataset(rng, n_rows=60, n_classes=2)
+    prev = retrain(data.subset(np.arange(40)), LossParams(1.0, 0.0))
+    root = best_split(data)
+    assert (root.feature, root.threshold) == (prev.feature, prev.threshold)
+    searched = []
+
+    def recording_best_split(part):
+        searched.append(tight_box(part))
+        return best_split(part)
+
+    # The module, not the function the package re-exports under the same name.
+    monkeypatch.setattr(importlib.import_module("treekeep.grow"), "best_split", recording_best_split)
+    # alpha = beta = 0: the early stop fires only on pure nodes, so the saving is the memo's.
+    params = LossParams(0.0, 0.0)
+    out = update(prev, data, params)
+    calls = len(searched)
+    assert len(set(searched)) == calls
+    searched.clear()
+    assert ref_update(prev, data, params) == out
+    assert calls < len(searched)
