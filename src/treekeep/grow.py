@@ -4,9 +4,19 @@ Candidate thresholds are midpoints between consecutive distinct sorted values
 of each feature.  Ties on impurity decrease break to the lowest feature index
 and then the lowest threshold, so growing is fully deterministic.
 
-``grow_pruned`` fuses ``grow`` with ``prune.prune`` into one recursion for
-``update`` and ``retrain``.  It returns the very tree, and the very float
-cost, that growing and then pruning would, but it searches less:
+Split searches run on an index engine, as in CART's presort.  ``presort``
+sorts every feature column of a dataset once.  The rows that reach a node
+are then a block: an ``(n_features, n_rows)`` array of row ids whose line
+``j`` lists the node's rows in order of feature ``j``.  ``partition`` splits
+a block with one boolean mask; the filter is stable, so every line of both
+sides stays sorted, and no node sorts or copies features.  ``split_search``
+scores the candidates of many features in one vectorised sweep, with the
+arithmetic of a per-feature search; ``best_split`` is that search on a
+freshly presorted dataset.
+
+``grow_pruned`` fuses ``grow`` with ``prune.prune`` into one recursion over
+blocks for ``update`` and ``retrain``.  It returns the very tree, and the
+very float cost, that growing and then pruning would, but it searches less:
 
 * Exact early stop: a node whose majority class misclassifies ``m`` rows
   with ``m <= 2p`` (``p`` the price of a node) becomes a leaf without a
@@ -14,12 +24,13 @@ cost, that growing and then pruning would, but it searches less:
   (each child costs at least ``p``, and rounding is monotone), its leaf
   costs ``m + p`` with ``m <= p + p``, and ties terminate; so pruning would
   have cut the split anyway.
-* Split memo: ``best_split`` results are kept by the partition's tight
-  bounding box.  Every partition one ``update`` searches is its data cut by
-  an axis-aligned box, and the tight box of such a partition picks out
-  exactly its rows again, so the key is exact and does not depend on the
-  node's level.  One update shares one memo across all its regrows: a
-  node's regrow reuses the searches its children's regrows made.
+* Split memo: searches are kept by the first and last row id of each line
+  of the block.  Those ids give the partition's tight bounding box.  Every
+  partition one ``update`` searches is its data cut by an axis-aligned box,
+  and the tight box of such a partition picks out exactly its rows again,
+  so the key is exact and does not depend on the node's level.  One update
+  shares one memo across all its regrows: a node's regrow reuses the
+  searches its children's regrows made.
 """
 
 from __future__ import annotations
@@ -53,51 +64,127 @@ class SplitCandidate(NamedTuple):
     decrease: float
 
 
+class Presorted(NamedTuple):
+    """A dataset laid out for the index engine; see ``presort``."""
+
+    columns: np.ndarray  # (n_features, n_rows): line j holds feature j by row id
+    labels: np.ndarray  # class index by row id
+    n_classes: int
+
+
+def presort(data: Dataset) -> tuple[Presorted, np.ndarray]:
+    """Sort every feature once; return the layout and the block of all rows."""
+    columns = np.ascontiguousarray(data.features.T)
+    if columns.shape[0] == 0:  # one constant line lists the rows and never splits
+        columns = np.zeros((1, data.n_rows))
+    # Row ids in the narrowest type that holds them: blocks take less memory.
+    block = np.argsort(columns, axis=1, kind="stable").astype(np.min_scalar_type(-data.n_rows))
+    return Presorted(columns, data.labels, data.n_classes), block
+
+
+def partition(rows: Presorted, block: np.ndarray, feature: int, threshold: float):
+    """Split a block into (value <= threshold, value > threshold), lines still sorted."""
+    goes_left = rows.columns[feature][block] <= threshold
+    n_lines, n_left = block.shape[0], int(np.count_nonzero(goes_left[0]))
+    return block[goes_left].reshape(n_lines, n_left), block[~goes_left].reshape(n_lines, -1)
+
+
 def _gini(counts: np.ndarray, n: float) -> float:
     return 1.0 - float(np.sum((counts / n) ** 2))
 
 
-def best_split(data: Dataset) -> Optional[SplitCandidate]:
-    """Best Gini split over all features, or None if nothing strictly helps.
+def _class_sum(term, first: int, n: int):
+    """``term(first) + ... + term(first + n - 1)``, added in the order in
+    which ``np.sum`` adds ``n`` values along an axis (pairwise, in blocks of
+    eight), so that a sum over classes rounds as a per-row ``np.sum`` would."""
+    if n < 8:
+        total = term(first)
+        for c in range(first + 1, first + n):
+            total = total + term(c)
+        return total
+    if n <= 128:
+        acc = [term(first + c) for c in range(8)]
+        blocks_end = n - n % 8
+        for c in range(8, blocks_end):
+            acc[c % 8] = acc[c % 8] + term(first + c)
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+        for c in range(blocks_end, n):
+            total = total + term(first + c)
+        return total
+    half = n // 2
+    half -= half % 8
+    return _class_sum(term, first, half) + _class_sum(term, first + half, n - half)
 
-    For each feature, candidates sit at midpoints between consecutive distinct
-    sorted values; impurity decrease for all candidates of a feature is
-    computed in one vectorized sweep over cumulative class counts.
+
+# Lines x rows one sweep of ``split_search`` scores at most (beyond a single
+# line); it bounds the sweep's temporary arrays to a few MB.
+SWEEP_SIZE = 1 << 14
+
+
+def split_search(rows: Presorted, block: np.ndarray) -> Optional[SplitCandidate]:
+    """Best Gini split of a block's rows over all features, or None if nothing strictly helps.
+
+    Lines are scored together, as many per sweep as ``SWEEP_SIZE`` allows,
+    over cumulative class counts taken one class at a time, so no (features,
+    rows, classes) array is built.  Every decrease is computed with the
+    operations, in the order, of a per-feature ``np.sum`` over classes, so
+    results are bit-for-bit those of searching each feature on its own.
     """
+    n_lines, n = block.shape
+    total = np.bincount(rows.labels[block[0]], minlength=rows.n_classes).astype(np.float64)
+    parent = _gini(total, n)
+    step = max(1, SWEEP_SIZE // n)
+    best: Optional[SplitCandidate] = None
+    for first in range(0, n_lines, step):
+        cand = _sweep(rows, block[first : first + step], first, total, parent)
+        if cand is not None and (best is None or cand.decrease > best.decrease):
+            best = cand
+    return best
+
+
+def _sweep(rows: Presorted, lines: np.ndarray, first: int, total: np.ndarray, parent: float):
+    """The best split among ``lines``, the block's lines from feature ``first`` on."""
+    n_lines, n = lines.shape
+    values = rows.columns[first : first + n_lines][np.arange(n_lines)[:, None], lines]
+    labels = rows.labels[lines]
+    # line and position of each cut: between the line's rows pos and pos + 1
+    line, pos = np.nonzero(values[:, :-1] != values[:, 1:])
+    if pos.size == 0:
+        return None
+    sizes = np.empty((2, pos.size))  # rows left and right of each cut
+    sizes[0] = pos + 1
+    np.subtract(n, sizes[0], out=sizes[1])
+
+    taken = np.zeros(pos.size)  # rows left of each cut in the classes so far
+
+    def squared_shares(c):  # _class_sum asks for c = 0, 1, ... in turn
+        counts = np.empty_like(sizes)
+        if c < rows.n_classes - 1:
+            counts[0] = (labels == c).cumsum(axis=1)[line, pos]
+            np.add(taken, counts[0], out=taken)
+        else:  # the last class holds every row the others do not
+            np.subtract(sizes[0], taken, out=counts[0])
+        np.subtract(total[c], counts[0], out=counts[1])
+        return (counts / sizes) ** 2
+
+    gini = 1.0 - _class_sum(squared_shares, 0, rows.n_classes)
+    decrease = parent - (sizes[0] / n) * gini[0] - (sizes[1] / n) * gini[1]
+    best = int(decrease.argmax())  # first max: lowest feature, then lowest threshold
+    if decrease[best] <= 0.0:
+        return None
+    j, cut = int(line[best]), int(pos[best])
+    lo, hi = values[j, cut], values[j, cut + 1]
+    threshold = (lo + hi) / 2.0
+    if threshold >= hi:  # midpoint rounded up between adjacent floats
+        threshold = lo
+    return SplitCandidate(first + j, float(threshold), float(decrease[best]))
+
+
+def best_split(data: Dataset) -> Optional[SplitCandidate]:
+    """Best Gini split over all features, or None if nothing strictly helps."""
     if data.n_rows == 0:
         raise ValueError("best_split requires a non-empty dataset")
-    X, y = data.features, data.labels
-    n, n_feat = X.shape
-    k = data.n_classes
-    total = np.bincount(y, minlength=k).astype(np.float64)
-    parent = _gini(total, n)
-    best: Optional[SplitCandidate] = None
-    for j in range(n_feat):
-        order = np.argsort(X[:, j], kind="stable")
-        vals = X[order, j]
-        cuts = np.nonzero(vals[:-1] != vals[1:])[0]
-        if cuts.size == 0:
-            continue
-        onehot = np.zeros((n, k), dtype=np.float64)
-        onehot[np.arange(n), y[order]] = 1.0
-        cum = np.cumsum(onehot, axis=0)
-        left = cum[cuts]
-        right = total - left
-        n_left = (cuts + 1).astype(np.float64)[:, None]
-        n_right = n - n_left
-        gini_left = 1.0 - np.sum((left / n_left) ** 2, axis=1)
-        gini_right = 1.0 - np.sum((right / n_right) ** 2, axis=1)
-        decrease = parent - (n_left.ravel() / n) * gini_left - (n_right.ravel() / n) * gini_right
-        pos = int(np.argmax(decrease))  # first max: lowest threshold on ties
-        if decrease[pos] <= 0.0:
-            continue
-        if best is None or decrease[pos] > best.decrease:
-            lo, hi = vals[cuts[pos]], vals[cuts[pos] + 1]
-            threshold = (lo + hi) / 2.0
-            if threshold >= hi:  # midpoint rounded up between adjacent floats
-                threshold = lo
-            best = SplitCandidate(j, float(threshold), float(decrease[pos]))
-    return best
+    return split_search(*presort(data))
 
 
 def grow(data: Dataset, config: GrowthConfig = GrowthConfig()) -> Tree:
@@ -130,36 +217,45 @@ def grow_pruned(data: Dataset, config: GrowthConfig, params: LossParams, memo: d
     """``prune(grow(data, config), data, params)`` and its cost, in one pass.
 
     The cost is misclassifications + (alpha + beta) per node, summed exactly
-    as ``prune`` sums it.  ``memo`` maps a partition's tight bounding box to
-    its ``best_split``; calls on partitions of the same data may share one.
+    as ``prune`` sums it.  ``memo`` maps blocks of ``data``'s row ids to
+    their split search; calls on the same data may share one.
     """
-    return _grow_pruned(data, config, params.alpha + params.beta, memo, 0)
+    tree, cost, _, _ = grow_pruned_block(*presort(data), config, params.alpha + params.beta, memo)
+    return tree, cost
 
 
-def _grow_pruned(data: Dataset, config: GrowthConfig, per_node: float, memo: dict, level: int):
-    counts = data.class_counts()
-    mode = int(np.argmax(counts))
-    misses = data.n_rows - int(counts[mode])
+def grow_pruned_block(
+    rows: Presorted, block: np.ndarray, config: GrowthConfig, per_node: float, memo: dict, level: int = 0
+) -> tuple[Tree, float, int, int]:
+    """``grow_pruned`` on a block: the tree, its cost, and the rows it
+    misclassifies and its node count, as ints."""
+    counts = np.bincount(rows.labels[block[0]], minlength=rows.n_classes)
+    mode = int(counts.argmax())
+    misses = block.shape[1] - int(counts[mode])
     leaf_cost = float(misses) + per_node
-    leaf = Leaf(mode), leaf_cost
+    leaf = Leaf(mode), leaf_cost, misses, 1
     if misses == 0:  # pure
         return leaf
     if config.max_depth is not None and level >= config.max_depth:
         return leaf
     if misses <= 2.0 * per_node:  # no split can beat this leaf
         return leaf
-    X = data.features
-    key = X.min(axis=0).tobytes() + X.max(axis=0).tobytes()
+    key = block[:, :: block.shape[1] - 1].tobytes()  # each line's first and last id
     if key in memo:
         cand = memo[key]
     else:
-        cand = memo[key] = best_split(data)
+        cand = memo[key] = split_search(rows, block)
     if cand is None:
         return leaf
-    left_data, right_data = data.partition(cand.feature, cand.threshold)
-    left, left_cost = _grow_pruned(left_data, config, per_node, memo, level + 1)
-    right, right_cost = _grow_pruned(right_data, config, per_node, memo, level + 1)
+    left_block, right_block = partition(rows, block, cand.feature, cand.threshold)
+    left, left_cost, left_misses, left_nodes = grow_pruned_block(
+        rows, left_block, config, per_node, memo, level + 1
+    )
+    right, right_cost, right_misses, right_nodes = grow_pruned_block(
+        rows, right_block, config, per_node, memo, level + 1
+    )
     split_cost = per_node + left_cost + right_cost
     if leaf_cost <= split_cost:
         return leaf
-    return Split(cand.feature, cand.threshold, left, right), split_cost
+    tree = Split(cand.feature, cand.threshold, left, right)
+    return tree, split_cost, left_misses + right_misses, 1 + left_nodes + right_nodes

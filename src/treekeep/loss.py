@@ -79,9 +79,11 @@ def change_count(prev: Optional[Tree], new: Tree) -> int:
     return node_count(new)
 
 
+def breakdown(f: int, c: int, d: int, params: LossParams) -> LossBreakdown:
+    """The loss of ``f`` misclassifications, ``c`` nodes and ``d`` changed nodes."""
+    return LossBreakdown(f, c, d, f + params.alpha * c + params.beta * d)
+
+
 def loss(prev: Optional[Tree], new: Tree, data: Dataset, params: LossParams) -> LossBreakdown:
     """Evaluate the full loss of ``new`` against ``prev`` on ``data``."""
-    f = misclassification_count(new, data)
-    c = node_count(new)
-    d = change_count(prev, new)
-    return LossBreakdown(f, c, d, f + params.alpha * c + params.beta * d)
+    return breakdown(misclassification_count(new, data), node_count(new), change_count(prev, new), params)

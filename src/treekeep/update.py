@@ -14,23 +14,38 @@ The candidate with the lower loss against the previous node wins; exact ties
 keep, because fewer changes means less to audit.  The procedure is greedy,
 not globally optimal, which is what makes it cheap.
 
-Each regrow is one fused grow-and-prune pass (``grow.grow_pruned``), equal to
-pruning a fully grown subtree.  It stops growing at any node whose majority
-class misclassifies at most 2 * (alpha + beta) rows: no split below it could
-survive pruning.  One update shares a single split memo across all its
-regrows, keyed by each partition's tight bounding box, so a node's regrow
-reuses the split searches its children's regrows already made.
+Each regrow is one fused grow-and-prune pass (``grow.grow_pruned_block``),
+equal to pruning a fully grown subtree.  It stops growing at any node whose
+majority class misclassifies at most 2 * (alpha + beta) rows: no split below
+it could survive pruning.  One update shares a single split memo across all
+its regrows, keyed by the rows of each partition, so a node's regrow reuses
+the split searches its children's regrows already made.
+
+The data is presorted once per update (``grow.presort``); every node, kept or
+regrown, works on a block of row ids that a stable partition keeps sorted
+by each feature.  Losses are carried up rather than recomputed: a kept leaf
+counts the rows whose label differs from its class, a kept split sums its
+children's counts, an empty side kept verbatim costs only its nodes, and a
+regrown subtree brings its misclassifications and node count from the fused
+pass and its change count from ``change_count`` against the previous node,
+which credits nodes it happens to share with it.  Totals are formed as
+``loss`` forms them, so the choice at every node is the one ``loss`` would
+make.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from .data import Dataset
 from .errors import InputShapeError
-# grow and prune go unused here; perfbench/tracer.py patches them in this module.
-from .grow import GrowthConfig, grow, grow_pruned  # noqa: F401
-from .loss import LossParams, loss
+from .grow import GrowthConfig, Presorted, grow_pruned, grow_pruned_block, partition, presort
+from .loss import LossParams, breakdown, change_count
+# grow, prune and loss go unused here; perfbench/tracer.py patches them in this module.
+from .grow import grow  # noqa: F401
+from .loss import loss  # noqa: F401
 from .prune import prune  # noqa: F401
-from .tree import Leaf, Split, Tree, max_feature
+from .tree import Leaf, Split, Tree, max_feature, node_count
 
 __all__ = ["update", "retrain", "keep_original"]
 
@@ -50,36 +65,44 @@ def update(prev: Tree, data: Dataset, params: LossParams, growth: GrowthConfig =
         raise InputShapeError(
             f"previous tree splits on feature {top} but data has {data.n_features} columns"
         )
-    tree, _ = _optimize(prev, data, params, growth, {})
+    tree, _ = _optimize(prev, *presort(data), params, growth, {})
     return tree
 
 
-def _optimize(prev: Tree, data: Dataset, params: LossParams, growth: GrowthConfig, memo: dict):
-    """Return (chosen subtree, its loss against ``prev`` on ``data``).
+def _optimize(
+    prev: Tree, rows: Presorted, block: np.ndarray, params: LossParams, growth: GrowthConfig, memo: dict
+):
+    """Return (chosen subtree, its loss against ``prev`` on the block's rows).
 
     ``memo`` is the split memo shared by every regrow of one update.
     """
     if isinstance(prev, Leaf):
         keep: Tree = prev
+        misses = int(np.count_nonzero(rows.labels[block[0]] != prev.class_label))
+        keep_loss = breakdown(misses, 1, 0, params)
     else:
-        left_data, right_data = data.partition(prev.feature, prev.threshold)
-        # An empty side stays exactly as it was: no rows reach it, so only
-        # the alpha term applies and regrowing (which needs data) is moot.
-        if left_data.n_rows == 0:
-            left = prev.left
-        else:
-            left, _ = _optimize(prev.left, left_data, params, growth, memo)
-        if right_data.n_rows == 0:
-            right = prev.right
-        else:
-            right, _ = _optimize(prev.right, right_data, params, growth, memo)
+        kept = []
+        for child, side in zip((prev.left, prev.right), partition(rows, block, prev.feature, prev.threshold)):
+            if side.shape[1] == 0:
+                # An empty side stays exactly as it was: no rows reach it, so
+                # only the alpha term applies and regrowing (which needs data)
+                # is moot.
+                kept.append((child, breakdown(0, node_count(child), 0, params)))
+            else:
+                kept.append(_optimize(child, rows, side, params, growth, memo))
+        (left, left_loss), (right, right_loss) = kept
         keep = Split(prev.feature, prev.threshold, left, right)
-    keep_loss = loss(prev, keep, data, params).total
+        keep_loss = breakdown(
+            left_loss.misclassifications + right_loss.misclassifications,
+            1 + left_loss.nodes + right_loss.nodes,
+            left_loss.changed + right_loss.changed,
+            params,
+        )
 
-    regrown, _ = grow_pruned(data, growth, params, memo)
-    regrow_loss = loss(prev, regrown, data, params).total
+    regrown, _, misses, nodes = grow_pruned_block(rows, block, growth, params.alpha + params.beta, memo)
+    regrow_loss = breakdown(misses, nodes, change_count(prev, regrown), params)
 
-    if keep_loss <= regrow_loss:
+    if keep_loss.total <= regrow_loss.total:
         return keep, keep_loss
     return regrown, regrow_loss
 

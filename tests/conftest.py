@@ -6,7 +6,7 @@ duplicate values, boundary thresholds, and empty partitions actually occur.
 
 import numpy as np
 
-from treekeep import Dataset, GrowthConfig, Leaf, Split, grow, load_tree, loss, prune
+from treekeep import Dataset, GrowthConfig, Leaf, Split, SplitCandidate, grow, load_tree, loss, prune
 from treekeep.cli import main
 from treekeep.data import builtin_dataset_path, load_csv, make_batch_plan
 
@@ -74,6 +74,43 @@ def ref_gini(labels, n_classes):
     n = len(labels)
     counts = np.bincount(labels, minlength=n_classes)
     return 1.0 - float(np.sum((counts / n) ** 2))
+
+
+def ref_best_split(data):
+    """``best_split`` as it was before the index engine: each feature on its
+    own, argsorted, with a one-hot cumulative count per candidate."""
+    X, y = data.features, data.labels
+    n, n_feat = X.shape
+    k = data.n_classes
+    total = np.bincount(y, minlength=k).astype(np.float64)
+    parent = 1.0 - float(np.sum((total / n) ** 2))
+    best = None
+    for j in range(n_feat):
+        order = np.argsort(X[:, j], kind="stable")
+        vals = X[order, j]
+        cuts = np.nonzero(vals[:-1] != vals[1:])[0]
+        if cuts.size == 0:
+            continue
+        onehot = np.zeros((n, k), dtype=np.float64)
+        onehot[np.arange(n), y[order]] = 1.0
+        cum = np.cumsum(onehot, axis=0)
+        left = cum[cuts]
+        right = total - left
+        n_left = (cuts + 1).astype(np.float64)[:, None]
+        n_right = n - n_left
+        gini_left = 1.0 - np.sum((left / n_left) ** 2, axis=1)
+        gini_right = 1.0 - np.sum((right / n_right) ** 2, axis=1)
+        decrease = parent - (n_left.ravel() / n) * gini_left - (n_right.ravel() / n) * gini_right
+        pos = int(np.argmax(decrease))
+        if decrease[pos] <= 0.0:
+            continue
+        if best is None or decrease[pos] > best.decrease:
+            lo, hi = vals[cuts[pos]], vals[cuts[pos] + 1]
+            threshold = (lo + hi) / 2.0
+            if threshold >= hi:
+                threshold = lo
+            best = SplitCandidate(j, float(threshold), float(decrease[pos]))
+    return best
 
 
 def ref_update(prev, data, params, growth=GrowthConfig()):

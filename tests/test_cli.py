@@ -138,20 +138,33 @@ def test_diff_too_deep_tree_exits_3(tmp_path, capsys, doc):
     assert "nested too deeply" in capsys.readouterr().err
 
 
-def test_update_too_deep_tree_exits_3(tmp_path, capsys):
-    # the deepest right chain that diff still reads is too deep for update's
-    # recursion, which must end as bad input, not as an internal error
+def test_update_reads_the_deepest_tree_diff_reads(tmp_path, capsys):
+    # update recurses no deeper than diff: on the deepest right chain that
+    # diff still reads it succeeds, and its output loads
     path = tmp_path / "deep.json"
     for depth in range(sys.getrecursionlimit(), 0, -1):
         path.write_text(right_chain_document(depth))
         if main(["diff", "--a", str(path), "--b", str(path)]) == 0:
             break
-    capsys.readouterr()
     data = tmp_path / "three.csv"
     data.write_text("1.0,0\n2.0,1\n3.0,1\n")
-    rc = main(
-        ["update", "--prev-tree", str(path), "--data", str(data), "--out", str(tmp_path / "o.json")]
-    )
+    out = tmp_path / "o.json"
+    assert main(["update", "--prev-tree", str(path), "--data", str(data), "--out", str(out)]) == 0
+    assert load_tree(out) == Leaf(1)
+
+
+def test_update_recursion_error_exits_3(tmp_path, capsys, monkeypatch):
+    # a tree too deep for update's recursion ends as bad input, not as an
+    # internal error
+    def too_deep(*args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("treekeep.cli.update", too_deep)
+    prev = tmp_path / "prev.json"
+    save_tree(Split(0, 1.5, Leaf(0), Leaf(1)), prev)
+    data = tmp_path / "three.csv"
+    data.write_text("1.0,0\n2.0,1\n3.0,1\n")
+    rc = main(["update", "--prev-tree", str(prev), "--data", str(data), "--out", str(tmp_path / "o.json")])
     assert rc == 3
     assert "error: tree is nested too deeply to process" in capsys.readouterr().err
 

@@ -4,9 +4,9 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import random_dataset, ref_gini, ref_misclassified
+from conftest import random_dataset, ref_best_split, ref_gini, ref_misclassified
 from treekeep import Dataset, GrowthConfig, Leaf, LossParams, Split, best_split, grow, prune
-from treekeep.grow import grow_pruned
+from treekeep.grow import _class_sum, grow_pruned, partition, presort, split_search
 from treekeep.prune import _prune
 from treekeep.tree import depth
 
@@ -69,6 +69,77 @@ def test_best_split_tie_prefers_lowest_feature():
 def test_best_split_empty_errors():
     with pytest.raises(ValueError):
         best_split(Dataset(np.zeros((0, 1)), np.zeros(0, dtype=int), 2))
+
+
+def bits(cand):
+    """A split candidate with its floats as exact bit patterns."""
+    return cand and (cand.feature, cand.threshold.hex(), cand.decrease.hex())
+
+
+def adjacent_floats(rng, n_rows):
+    """A column of the four floats from a random start up, so consecutive
+    values are one ulp apart and midpoints round both ways."""
+    start = rng.uniform(-8.0, 8.0)
+    steps = [start]
+    for _ in range(3):
+        steps.append(np.nextafter(steps[-1], np.inf))
+    return np.array(steps)[rng.integers(0, 4, size=n_rows)]
+
+
+def search_case(rng, case):
+    n_rows = [1, 2, None][case % 3]
+    n_classes = [1, 2, 3, 4, 2, 3, 9, 130][case % 8]
+    data = random_dataset(rng, n_rows=n_rows, n_features=int(rng.integers(1, 5)), n_classes=n_classes)
+    features = data.features.copy()
+    for j in range(features.shape[1]):
+        kind = rng.integers(4)
+        if kind == 0:
+            features[:, j] = 3.0  # constant
+        elif kind == 1:
+            features[:, j] = adjacent_floats(rng, data.n_rows)
+    return Dataset(features, data.labels, n_classes)
+
+
+@pytest.mark.parametrize("sweep_size", [None, 1])
+def test_split_search_equals_per_feature_reference(monkeypatch, sweep_size):
+    if sweep_size is not None:  # one line per sweep, as on large blocks
+        monkeypatch.setattr(GROW_MODULE, "SWEEP_SIZE", sweep_size)
+    rng = np.random.default_rng(35)
+    searched = 0
+    for case in range(400):
+        data = search_case(rng, case)
+        assert bits(best_split(data)) == bits(ref_best_split(data))
+        # Blocks made by partition search as their rows would on their own.
+        rows, block = presort(data)
+        feature = int(rng.integers(data.n_features))
+        threshold = float(rng.choice(data.features[:, feature]))
+        goes_left = data.features[:, feature] <= threshold
+        sides = (np.flatnonzero(goes_left), np.flatnonzero(~goes_left))
+        for side, ids in zip(partition(rows, block, feature, threshold), sides):
+            assert side.shape == (data.n_features, ids.size)
+            for line in range(data.n_features):  # the side's rows, stably sorted by that feature
+                assert np.array_equal(side[line], ids[np.argsort(data.features[ids, line], kind="stable")])
+            if ids.size:
+                assert bits(split_search(rows, side)) == bits(ref_best_split(data.subset(ids)))
+                searched += 1
+    assert searched > 400
+
+
+def test_split_search_midpoint_guard():
+    lo = np.nextafter(1.0, 2.0)
+    hi = np.nextafter(lo, 2.0)
+    assert (lo + hi) / 2.0 == hi  # the midpoint rounds up to hi
+    data = dataset([lo, hi], [0, 1])
+    assert best_split(data).threshold == lo
+    assert bits(best_split(data)) == bits(ref_best_split(data))
+
+
+def test_class_sum_adds_as_np_sum():
+    rng = np.random.default_rng(36)
+    for n_classes in [1, 2, 7, 8, 9, 15, 16, 17, 127, 128, 129, 130, 300]:
+        shares = rng.random((50, n_classes)) ** 2 * rng.choice([1e-8, 1.0, 1e8], size=(50, n_classes))
+        summed = _class_sum(lambda c: shares[:, c], 0, n_classes)
+        assert summed.tobytes() == np.sum(shares, axis=1).tobytes()
 
 
 def test_grow_single_perfect_split():
@@ -167,7 +238,9 @@ def test_grow_pruned_equals_grow_then_prune():
 def test_grow_pruned_stops_early_at_m_equal_2p(monkeypatch, p, m, x, y):
     data = dataset(x, y)
     searched = []
-    monkeypatch.setattr(GROW_MODULE, "best_split", lambda d: searched.append(d) or best_split(d))
+    monkeypatch.setattr(
+        GROW_MODULE, "split_search", lambda rows, block: searched.append(block) or split_search(rows, block)
+    )
     tree, cost = grow_pruned(data, GrowthConfig(), LossParams(p, 0), {})
     assert (tree, cost) == (Leaf(0), m + p)
     assert searched == []

@@ -23,7 +23,12 @@ from treekeep import (
     update,
 )
 from treekeep.errors import InputShapeError
+from treekeep.grow import presort, split_search
 from treekeep.tree import node_at
+
+# The modules, not the functions the package re-exports under the same names.
+GROW_MODULE = importlib.import_module("treekeep.grow")
+UPDATE_MODULE = importlib.import_module("treekeep.update")
 
 STUMP = Split(0, 2.5, Leaf(0), Leaf(1))
 
@@ -198,11 +203,18 @@ def test_update_equals_grow_then_prune_oracle():
         prev = random_prev(rng, data)
         params = LossParams(float(rng.choice(penalties)), float(rng.choice(penalties)))
         growth = GrowthConfig([1, 2, 3, None, 20][int(rng.integers(5))])
-        assert update(prev, data, params, growth) == ref_update(prev, data, params, growth)
+        out = update(prev, data, params, growth)
+        assert out == ref_update(prev, data, params, growth)
+        # The loss carried up to the root is the loss of the result, exactly.
+        tree, carried = UPDATE_MODULE._optimize(prev, *presort(data), params, growth, {})
+        assert tree == out
+        assert carried == loss(prev, out, data, params)
 
 
-def tight_box(data):
-    return data.features.min(axis=0).tobytes() + data.features.max(axis=0).tobytes()
+def tight_box(rows, block):
+    """The bounding box of a block's rows: each line's first and last value."""
+    lines = np.arange(block.shape[0])
+    return rows.columns[lines, block[:, 0]].tobytes() + rows.columns[lines, block[:, -1]].tobytes()
 
 
 def test_update_searches_each_partition_once(monkeypatch):
@@ -213,12 +225,11 @@ def test_update_searches_each_partition_once(monkeypatch):
     assert (root.feature, root.threshold) == (prev.feature, prev.threshold)
     searched = []
 
-    def recording_best_split(part):
-        searched.append(tight_box(part))
-        return best_split(part)
+    def recording_search(rows, block):
+        searched.append(tight_box(rows, block))
+        return split_search(rows, block)
 
-    # The module, not the function the package re-exports under the same name.
-    monkeypatch.setattr(importlib.import_module("treekeep.grow"), "best_split", recording_best_split)
+    monkeypatch.setattr(GROW_MODULE, "split_search", recording_search)
     # alpha = beta = 0: the early stop fires only on pure nodes, so the saving is the memo's.
     params = LossParams(0.0, 0.0)
     out = update(prev, data, params)
