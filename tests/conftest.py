@@ -4,11 +4,16 @@ Random inputs use grid-valued features (integers 0..7 cast to float) so that
 duplicate values, boundary thresholds, and empty partitions actually occur.
 """
 
+import csv
+import os
+from typing import Union
+
 import numpy as np
 
 from treekeep import Dataset, GrowthConfig, Leaf, Split, SplitCandidate, grow, load_tree, loss, prune
 from treekeep.cli import main
 from treekeep.data import builtin_dataset_path, load_csv, make_batch_plan
+from treekeep.errors import DataLoadError
 
 # Seed of the 15-row iris sample: updating its tree on full iris keeps the
 # root split and regrows one lower condition with a shifted threshold.
@@ -139,6 +144,98 @@ def _ref_optimize(prev, data, params, growth):
     if keep_loss <= regrow_loss:
         return keep, keep_loss
     return regrown, regrow_loss
+
+
+# ``load_csv`` and its label order as they were before the chunked parser,
+# copied verbatim (renamed): every line split on its own, every cell parsed
+# on its own.  The parity test in test_data.py compares the two.
+def _ref_sort_key(raw: str):
+    try:
+        return (0, float(raw), "")
+    except ValueError:
+        return (1, 0.0, raw)
+
+
+def ref_load_csv(path, label_column: Union[int, str], has_header: bool = False) -> Dataset:
+    """Load a delimited text file (comma or whitespace separated).
+
+    ``label_column`` is a 0-based column index, or a column name when the
+    file has a header.  Feature cells must parse as finite numbers; labels
+    are densified to 0-based class indices (sorted numerically when every
+    label parses as a number, lexicographically otherwise) and the mapping
+    is recorded in ``label_names``.
+    """
+    if not os.path.exists(path):
+        raise DataLoadError(f"dataset file not found: {path}")
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [ln for ln in (line.strip() for line in fh) if ln]
+    if not lines:
+        raise DataLoadError(f"{path}: file is empty")
+
+    def split_line(line: str) -> list[str]:
+        if "," in line:
+            return next(csv.reader([line]))
+        return line.split()
+
+    header = None
+    start = 0
+    if has_header:
+        header = [cell.strip() for cell in split_line(lines[0])]
+        start = 1
+        if not lines[start:]:
+            raise DataLoadError(f"{path}: no data rows after the header")
+
+    first = split_line(lines[start])
+    n_cols = len(first)
+    if isinstance(label_column, str):
+        if header is None:
+            raise DataLoadError(f"{path}: label column given by name but the file has no header")
+        try:
+            label_idx = header.index(label_column)
+        except ValueError:
+            raise DataLoadError(f"{path}: no column named {label_column!r} in header") from None
+    else:
+        label_idx = label_column if label_column >= 0 else n_cols + label_column
+    if not 0 <= label_idx < n_cols:
+        raise DataLoadError(f"{path}: label column {label_column} out of range for {n_cols} columns")
+
+    features = []
+    raw_labels = []
+    for row_no, line in enumerate(lines[start:], start=start + 1):
+        cells = split_line(line)
+        if len(cells) != n_cols:
+            raise DataLoadError(f"{path}, row {row_no}: expected {n_cols} cells, got {len(cells)}")
+        row = []
+        for col_no, cell in enumerate(cells):
+            if col_no == label_idx:
+                raw_labels.append(cell.strip())
+                continue
+            try:
+                value = float(cell)
+            except ValueError:
+                raise DataLoadError(
+                    f"{path}, row {row_no}, column {col_no + 1}: not a number: {cell!r}"
+                ) from None
+            if not np.isfinite(value):
+                raise DataLoadError(
+                    f"{path}, row {row_no}, column {col_no + 1}: non-finite value: {cell!r}"
+                )
+            row.append(value)
+        features.append(row)
+
+    distinct = sorted(set(raw_labels), key=_ref_sort_key)
+    index_of = {name: i for i, name in enumerate(distinct)}
+    labels = np.array([index_of[name] for name in raw_labels], dtype=np.int64)
+    column_names = None
+    if header is not None:
+        column_names = tuple(name for i, name in enumerate(header) if i != label_idx)
+    return Dataset(
+        np.array(features, dtype=np.float64),
+        labels,
+        n_classes=len(distinct),
+        column_names=column_names,
+        label_names=tuple(distinct),
+    )
 
 
 def right_chain_document(depth):

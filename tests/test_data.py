@@ -1,3 +1,4 @@
+import csv
 import os
 
 import numpy as np
@@ -12,6 +13,8 @@ from treekeep.data import (
     load_manifest,
 )
 from treekeep.errors import ConfigError, DataLoadError
+
+from conftest import ref_load_csv
 
 
 def write(tmp_path, name, text):
@@ -83,6 +86,133 @@ def test_load_csv_ragged_row(tmp_path):
     path = write(tmp_path, "d.csv", "1.0,2.0,a\n1.0,b\n")
     with pytest.raises(DataLoadError, match="row 2"):
         load_csv(path, label_column=2)
+
+
+# Cells that parse: padded, signed, with digit separators, non-ASCII digits.
+VALID_CELLS = ("0", "1", "-2", "3.5", "0.1", "2.5e-3", "+1e3", "1_000", " 2 ", "-0.0", "７", "0.30000000000000004")
+# Cells that do not parse, or parse to a non-finite value.
+FAULTY_CELLS = ("inf", "-Infinity", "nan", "1e400", "x", "", "0x10", "1__0", "1 2")
+
+
+def label_text(rng, style, k):
+    """Label ``k`` as a cell; no two labels of one file parse to the same number."""
+    if style == "mixed":
+        style = "number" if k % 2 else "string"
+    if style == "number":
+        return f" {k} " if rng.random() < 0.2 else str(k)
+    if style == "quoted":
+        return f'"k,{k}"'
+    return f"c{k}"
+
+
+def join_cells(rng, cells, comma):
+    if comma:
+        return (", " if rng.random() < 0.2 else ",").join(cells)
+    return "".join(cell + (" \t"[int(rng.integers(2))] * int(rng.integers(1, 3))) for cell in cells).strip()
+
+
+def split_cells(line):
+    """How either loader splits one line."""
+    if "," in line:
+        return next(csv.reader([line]))
+    return line.split()
+
+
+def random_text_file(rng):
+    """A delimited text file and the arguments to load it with.
+
+    Covers comma, whitespace and mixed lines, blank lines, CR and CRLF line
+    ends, headers and header-only files, named and negative label columns,
+    1 to 300 classes, and rows with one fault: a cell that does not parse or
+    is not finite, a missing or extra cell, or an unterminated quote.
+    """
+    big = rng.random() < 0.06
+    n_rows = int(rng.integers(300, 900)) if big else int(rng.integers(0, 13))
+    n_cols = int(rng.integers(1, 6))
+    n_classes = int(rng.integers(1, 301)) if big else int(rng.integers(1, 5))
+    delimiter = ("comma", "space", "mixed")[int(rng.integers(3))]
+    style = ("number", "string", "mixed") + (("quoted",) if delimiter == "comma" else ())
+    style = style[int(rng.integers(len(style)))]
+    has_header = rng.random() < 0.4
+    label_idx = int(rng.integers(n_cols))
+    if has_header and rng.random() < 0.5:
+        label_column = "zz" if rng.random() < 0.1 else f"h{label_idx}"
+    elif rng.random() < 0.05:
+        label_column = (n_cols, -n_cols - 1, "h0")[int(rng.integers(3))]
+    else:
+        label_column = label_idx - n_cols if rng.random() < 0.5 else label_idx
+
+    def comma_line():
+        return delimiter == "comma" or (delimiter == "mixed" and rng.random() < 0.5)
+
+    rows = []
+    for _ in range(n_rows):
+        cells = [VALID_CELLS[int(rng.integers(len(VALID_CELLS)))] for _ in range(n_cols)]
+        cells[label_idx] = label_text(rng, style, int(rng.integers(n_classes)))
+        rows.append(cells)
+    commas = [comma_line() or any("," in cell for cell in cells) for cells in rows]
+    if rows and rng.random() < 0.5:
+        i = int(rng.integers(len(rows)))
+        fault = int(rng.choice(4, p=[0.5, 0.1, 0.1, 0.3]))
+        j = int(rng.integers(n_cols))
+        if fault == 0:
+            rows[i][j] = FAULTY_CELLS[int(rng.integers(len(FAULTY_CELLS)))]
+        elif fault == 1:
+            rows[i].append("1")
+        elif fault == 2:
+            rows[i].pop(j)
+        else:  # in the last column the line keeps its cell count
+            j = n_cols - 1 if rng.random() < 0.5 else j
+            rows[i][j] = '"' + rows[i][j].strip('"')
+            commas[i] = True
+    lines = [join_cells(rng, cells, comma) for cells, comma in zip(rows, commas)]
+    if has_header:
+        lines.insert(0, join_cells(rng, [f"h{j}" for j in range(n_cols)], comma_line()))
+    for _ in range(int(rng.integers(0, 3))):
+        lines.insert(int(rng.integers(len(lines) + 1)), ("", "  ", "\t ")[int(rng.integers(3))])
+    end = ("\n", "\r\n", "\r")[int(rng.choice(3, p=[0.6, 0.3, 0.1]))]
+    text = end.join(lines) + (end if rng.random() < 0.8 else "")
+    return text, label_column, has_header
+
+
+def header_width_differs(text, has_header):
+    lines = [ln for ln in (line.strip() for line in text.splitlines()) if ln]
+    return has_header and len(lines) > 1 and len(split_cells(lines[0])) != len(split_cells(lines[1]))
+
+
+def load_outcome(loader, path, label_column, has_header):
+    try:
+        data = loader(path, label_column, has_header)
+    except Exception as exc:  # the reference's exception, whatever it is, is the expectation
+        return type(exc), str(exc)
+    return (
+        data.features.shape,
+        data.features.tobytes(),
+        data.labels.tolist(),
+        data.n_classes,
+        data.label_names,
+        data.column_names,
+    )
+
+
+def test_load_csv_matches_line_reference(tmp_path):
+    rng = np.random.default_rng(44)
+    path = str(tmp_path / "d.csv")
+    loaded = failed = most_classes = 0
+    while loaded + failed < 400:
+        text, label_column, has_header = random_text_file(rng)
+        if header_width_differs(text, has_header):
+            continue  # rejected since the reference was taken
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        expected = load_outcome(ref_load_csv, path, label_column, has_header)
+        assert load_outcome(load_csv, path, label_column, has_header) == expected, (text, label_column)
+        if len(expected) == 2:
+            failed += 1
+        else:
+            loaded += 1
+            most_classes = max(most_classes, expected[3])
+    assert loaded > 120 and failed > 120 and most_classes > 200
 
 
 def test_builtin_iris_loads():
