@@ -131,6 +131,8 @@ def load_csv(path, label_column: Union[int, str], has_header: bool = False) -> D
 
     first = split_line(lines[start])
     n_cols = len(first)
+    if header is not None and len(header) != n_cols:
+        raise DataLoadError(f"{path}: header has {len(header)} columns but row 2 has {n_cols}")
     if isinstance(label_column, str):
         if header is None:
             raise DataLoadError(f"{path}: label column given by name but the file has no header")

@@ -41,6 +41,14 @@ def test_grow_missing_file_exits_nonzero(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_grow_header_narrower_than_rows_exits_3(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    data.write_text("x,y,label\n1,2,0,7\n3,4,1,7\n")
+    rc = main(["grow", "--data", str(data), "--has-header", "--out", str(tmp_path / "t.json")])
+    assert rc == 3
+    assert "header has 3 columns but row 2 has 4" in capsys.readouterr().err
+
+
 def test_grow_dot_output(data_file, tmp_path):
     out = tmp_path / "tree.json"
     dot = tmp_path / "tree.dot"

@@ -69,6 +69,13 @@ def test_load_csv_header_and_named_label(tmp_path):
     assert data.label_names == ("no", "yes")
 
 
+@pytest.mark.parametrize("text", ["x,y,label\n1,2,0,7\n", "x,y,z,label\n1,2,0\n"])
+def test_load_csv_header_width_must_match_rows(tmp_path, text):
+    path = write(tmp_path, "d.csv", text)
+    with pytest.raises(DataLoadError, match="header has [34] columns but row 2 has [34]"):
+        load_csv(path, label_column=-1, has_header=True)
+
+
 def test_load_csv_named_label_requires_header(tmp_path):
     path = write(tmp_path, "d.csv", "1,2,yes\n")
     with pytest.raises(DataLoadError, match="header"):
