@@ -8,7 +8,9 @@ batches on any platform.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
+import math
 import os
 import warnings
 from dataclasses import dataclass
@@ -100,6 +102,83 @@ def _sort_key(raw: str):
         return (1, 0.0, raw)
 
 
+# Rows parsed at a time.  It bounds the cell strings held at once to a few
+# MB at HIGGS width (29 columns), while the per-chunk numpy calls stay few.
+CHUNK_ROWS = 1024
+
+
+def _nonblank(fh):
+    """The file's lines stripped of surrounding whitespace, blank ones skipped."""
+    return (line for line in map(str.strip, fh) if line)
+
+
+def _split_line(line: str) -> list[str]:
+    """Lines with a comma are CSV (with quotes); others split on whitespace."""
+    if "," in line:
+        return next(csv.reader([line]))
+    return line.split()
+
+
+def _split_chunk(lines: list[str]) -> list[list[str]]:
+    """The cells of each line, as ``_split_line`` splits them."""
+    if all("," in line for line in lines):
+        rows = list(csv.reader(lines))
+        # One reader joins a line with an unterminated quote to the next one.
+        if len(rows) == len(lines):
+            return rows
+    return [_split_line(line) for line in lines]
+
+
+def _parse_chunk(lines, n_cols, label_idx, out):
+    """Parse a chunk into ``out`` one column at a time and return its label
+    cells; return None if any row is faulty (``out`` is then partly written)."""
+    try:
+        rows = _split_chunk(lines)
+    except csv.Error:
+        return None
+    if any(len(cells) != n_cols for cells in rows):
+        return None
+    columns = list(zip(*rows))
+    feature_columns = (col for col in range(n_cols) if col != label_idx)
+    try:
+        for j, col in enumerate(feature_columns):
+            out[:, j] = np.fromiter(map(float, columns[col]), np.float64, len(rows))
+    except ValueError:
+        return None
+    if not np.isfinite(out).all():
+        return None
+    return columns[label_idx]
+
+
+def _parse_chunk_by_cell(path, lines, first_row, n_cols, label_idx, out):
+    """``_parse_chunk`` one line and one cell at a time, raising the first
+    fault with its row number (counting non-blank lines) and column."""
+    labels = []
+    for i, line in enumerate(lines):
+        row_no = first_row + i
+        cells = _split_line(line)
+        if len(cells) != n_cols:
+            raise DataLoadError(f"{path}, row {row_no}: expected {n_cols} cells, got {len(cells)}")
+        j = 0
+        for col_no, cell in enumerate(cells):
+            if col_no == label_idx:
+                labels.append(cell)
+                continue
+            try:
+                value = float(cell)
+            except ValueError:
+                raise DataLoadError(
+                    f"{path}, row {row_no}, column {col_no + 1}: not a number: {cell!r}"
+                ) from None
+            if not math.isfinite(value):
+                raise DataLoadError(
+                    f"{path}, row {row_no}, column {col_no + 1}: non-finite value: {cell!r}"
+                )
+            out[i, j] = value
+            j += 1
+    return labels
+
+
 def load_csv(path, label_column: Union[int, str], has_header: bool = False) -> Dataset:
     """Load a delimited text file (comma or whitespace separated).
 
@@ -108,76 +187,73 @@ def load_csv(path, label_column: Union[int, str], has_header: bool = False) -> D
     are densified to 0-based class indices (sorted numerically when every
     label parses as a number, lexicographically otherwise) and the mapping
     is recorded in ``label_names``.
+
+    The file is read twice: once to count its rows, so that the float64
+    feature array is allocated once, then ``CHUNK_ROWS`` lines at a time,
+    each chunk converted one column at a time.  Memory peaks a little above
+    that one array.  A faulty chunk is parsed again cell by cell to name the
+    first faulty row and column.
     """
     if not os.path.exists(path):
         raise DataLoadError(f"dataset file not found: {path}")
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in (line.strip() for line in fh) if ln]
-    if not lines:
-        raise DataLoadError(f"{path}: file is empty")
+        if not fh.seekable():
+            raise DataLoadError(f"{path}: not a regular file (it is read twice)")
+        n_lines = sum(1 for _ in _nonblank(fh))
+        if not n_lines:
+            raise DataLoadError(f"{path}: file is empty")
+        fh.seek(0)
+        lines = itertools.islice(_nonblank(fh), n_lines)
+        header = None
+        if has_header:
+            header = [cell.strip() for cell in _split_line(next(lines))]
+            if n_lines == 1:
+                raise DataLoadError(f"{path}: no data rows after the header")
+        chunk = list(itertools.islice(lines, CHUNK_ROWS))
 
-    def split_line(line: str) -> list[str]:
-        if "," in line:
-            return next(csv.reader([line]))
-        return line.split()
-
-    header = None
-    start = 0
-    if has_header:
-        header = [cell.strip() for cell in split_line(lines[0])]
-        start = 1
-        if not lines[start:]:
-            raise DataLoadError(f"{path}: no data rows after the header")
-
-    first = split_line(lines[start])
-    n_cols = len(first)
-    if header is not None and len(header) != n_cols:
-        raise DataLoadError(f"{path}: header has {len(header)} columns but row 2 has {n_cols}")
-    if isinstance(label_column, str):
-        if header is None:
-            raise DataLoadError(f"{path}: label column given by name but the file has no header")
-        try:
-            label_idx = header.index(label_column)
-        except ValueError:
-            raise DataLoadError(f"{path}: no column named {label_column!r} in header") from None
-    else:
-        label_idx = label_column if label_column >= 0 else n_cols + label_column
-    if not 0 <= label_idx < n_cols:
-        raise DataLoadError(f"{path}: label column {label_column} out of range for {n_cols} columns")
-
-    features = []
-    raw_labels = []
-    for row_no, line in enumerate(lines[start:], start=start + 1):
-        cells = split_line(line)
-        if len(cells) != n_cols:
-            raise DataLoadError(f"{path}, row {row_no}: expected {n_cols} cells, got {len(cells)}")
-        row = []
-        for col_no, cell in enumerate(cells):
-            if col_no == label_idx:
-                raw_labels.append(cell.strip())
-                continue
+        n_cols = len(_split_line(chunk[0]))
+        if header is not None and len(header) != n_cols:
+            raise DataLoadError(f"{path}: header has {len(header)} columns but row 2 has {n_cols}")
+        if isinstance(label_column, str):
+            if header is None:
+                raise DataLoadError(f"{path}: label column given by name but the file has no header")
             try:
-                value = float(cell)
+                label_idx = header.index(label_column)
             except ValueError:
-                raise DataLoadError(
-                    f"{path}, row {row_no}, column {col_no + 1}: not a number: {cell!r}"
-                ) from None
-            if not np.isfinite(value):
-                raise DataLoadError(
-                    f"{path}, row {row_no}, column {col_no + 1}: non-finite value: {cell!r}"
-                )
-            row.append(value)
-        features.append(row)
+                raise DataLoadError(f"{path}: no column named {label_column!r} in header") from None
+        else:
+            label_idx = label_column if label_column >= 0 else n_cols + label_column
+        if not 0 <= label_idx < n_cols:
+            raise DataLoadError(f"{path}: label column {label_column} out of range for {n_cols} columns")
 
-    distinct = sorted(set(raw_labels), key=_sort_key)
-    index_of = {name: i for i, name in enumerate(distinct)}
-    labels = np.array([index_of[name] for name in raw_labels], dtype=np.int64)
+        first_row = 1 if header is None else 2
+        n_rows = n_lines - first_row + 1
+        features = np.empty((n_rows, n_cols - 1), dtype=np.float64)
+        # Class ids in first-seen order; sorted by label name below.
+        label_ids = np.empty(n_rows, dtype=np.int64)
+        first_seen: dict[str, int] = {}
+        done = 0
+        while chunk:
+            end = done + len(chunk)
+            block = features[done:end]
+            cells = _parse_chunk(chunk, n_cols, label_idx, block)
+            if cells is None:
+                cells = _parse_chunk_by_cell(path, chunk, first_row + done, n_cols, label_idx, block)
+            label_ids[done:end] = [first_seen.setdefault(cell.strip(), len(first_seen)) for cell in cells]
+            done = end
+            chunk = list(itertools.islice(lines, CHUNK_ROWS))
+        if done != n_rows:
+            raise DataLoadError(f"{path}: file shrank while it was read")
+
+    distinct = sorted(first_seen, key=_sort_key)
+    rank = np.empty(len(distinct), dtype=np.int64)
+    rank[[first_seen[name] for name in distinct]] = np.arange(len(distinct))
     column_names = None
     if header is not None:
         column_names = tuple(name for i, name in enumerate(header) if i != label_idx)
     return Dataset(
-        np.array(features, dtype=np.float64),
-        labels,
+        features,
+        rank[label_ids],
         n_classes=len(distinct),
         column_names=column_names,
         label_names=tuple(distinct),

@@ -1,5 +1,7 @@
 import csv
+import importlib
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -15,6 +17,8 @@ from treekeep.data import (
 from treekeep.errors import ConfigError, DataLoadError
 
 from conftest import ref_load_csv
+
+DATA_MODULE = importlib.import_module("treekeep.data")
 
 
 def write(tmp_path, name, text):
@@ -136,7 +140,7 @@ def random_text_file(rng):
     big = rng.random() < 0.06
     n_rows = int(rng.integers(300, 900)) if big else int(rng.integers(0, 13))
     n_cols = int(rng.integers(1, 6))
-    n_classes = int(rng.integers(1, 301)) if big else int(rng.integers(1, 5))
+    n_classes = int(rng.integers(150, 301)) if big else int(rng.integers(1, 5))
     delimiter = ("comma", "space", "mixed")[int(rng.integers(3))]
     style = ("number", "string", "mixed") + (("quoted",) if delimiter == "comma" else ())
     style = style[int(rng.integers(len(style)))]
@@ -163,7 +167,8 @@ def random_text_file(rng):
         fault = int(rng.choice(4, p=[0.5, 0.1, 0.1, 0.3]))
         j = int(rng.integers(n_cols))
         if fault == 0:
-            rows[i][j] = FAULTY_CELLS[int(rng.integers(len(FAULTY_CELLS)))]
+            if j != label_idx:  # "nan" or "inf" labels would sort in set order
+                rows[i][j] = FAULTY_CELLS[int(rng.integers(len(FAULTY_CELLS)))]
         elif fault == 1:
             rows[i].append("1")
         elif fault == 2:
@@ -202,7 +207,10 @@ def load_outcome(loader, path, label_column, has_header):
     )
 
 
-def test_load_csv_matches_line_reference(tmp_path):
+@pytest.mark.parametrize("chunk_rows", [None, 1, 3])
+def test_load_csv_matches_line_reference(tmp_path, monkeypatch, chunk_rows):
+    if chunk_rows is not None:  # chunk edges fall inside files, and on the header
+        monkeypatch.setattr(DATA_MODULE, "CHUNK_ROWS", chunk_rows)
     rng = np.random.default_rng(44)
     path = str(tmp_path / "d.csv")
     loaded = failed = most_classes = 0
@@ -220,6 +228,49 @@ def test_load_csv_matches_line_reference(tmp_path):
             loaded += 1
             most_classes = max(most_classes, expected[3])
     assert loaded > 120 and failed > 120 and most_classes > 200
+
+
+def test_load_csv_numerically_equal_labels_keep_first_seen_order(tmp_path):
+    # "1.0" and "1" sort as equals; the first one met comes first, whatever
+    # the process's string hashes.
+    for text, names in (("0,1.0\n1,1\n", ("1.0", "1")), ("0,1\n1,1.0\n", ("1", "1.0"))):
+        assert load_csv(write(tmp_path, "d.csv", text), label_column=1).label_names == names
+
+
+def test_load_csv_rejects_a_pipe(tmp_path):
+    fifo = str(tmp_path / "fifo")
+    os.mkfifo(fifo)
+
+    def feed():
+        try:
+            with open(fifo, "w") as fh:
+                fh.write("1,0\n2,1\n")
+        except BrokenPipeError:
+            pass
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        with pytest.raises(DataLoadError, match="not a regular file"):
+            load_csv(fifo, label_column=1)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+
+
+def test_load_csv_rejects_a_file_that_shrinks_between_reads(tmp_path, monkeypatch):
+    path = write(tmp_path, "d.csv", "1,0\n2,1\n3,0\n")
+    reads = []
+    nonblank = DATA_MODULE._nonblank
+
+    def second_read_loses_a_line(fh):
+        reads.append(fh)
+        lines = list(nonblank(fh))
+        return iter(lines if len(reads) == 1 else lines[:-1])
+
+    monkeypatch.setattr(DATA_MODULE, "_nonblank", second_read_loses_a_line)
+    with pytest.raises(DataLoadError, match="shrank"):
+        load_csv(path, label_column=1)
 
 
 def test_builtin_iris_loads():
