@@ -27,10 +27,20 @@ by each feature.  Losses are carried up rather than recomputed: a kept leaf
 counts the rows whose label differs from its class, a kept split sums its
 children's counts, an empty side kept verbatim costs only its nodes, and a
 regrown subtree brings its misclassifications and node count from the fused
-pass and its change count from ``change_count`` against the previous node,
-which credits nodes it happens to share with it.  Totals are formed as
+pass and counts every one of its nodes as changed.  Totals are formed as
 ``loss`` forms them, so the choice at every node is the one ``loss`` would
 make.
+
+Crediting a regrow with the nodes it happens to share with the previous
+subtree would never change a choice.  A regrow shares nodes only when its
+root repeats the previous node; a repeated leaf is the kept leaf itself.  A
+repeated split costs alpha plus the losses of its two subtrees against the
+previous children.  Each subtree was grown on that child's rows with one
+level less to go, so it is a pruning of the tree the child's own regrow
+grows, and costs no less than that regrow when it shares nothing with the
+previous child; when it does share, the same argument applies one level
+down.  So each subtree costs no less than its child's chosen loss, keep wins
+or ties, and a regrow that wins shares nothing with ``prev``.
 """
 
 from __future__ import annotations
@@ -40,7 +50,7 @@ import numpy as np
 from .data import Dataset
 from .errors import InputShapeError
 from .grow import GrowthConfig, Presorted, grow_pruned, grow_pruned_block, partition, presort
-from .loss import LossParams, breakdown, change_count
+from .loss import LossParams, breakdown
 # grow, prune and loss go unused here; perfbench/tracer.py patches them in this module.
 from .grow import grow  # noqa: F401
 from .loss import loss  # noqa: F401
@@ -100,7 +110,7 @@ def _optimize(
         )
 
     regrown, _, misses, nodes = grow_pruned_block(rows, block, growth, params.alpha + params.beta, memo)
-    regrow_loss = breakdown(misses, nodes, change_count(prev, regrown), params)
+    regrow_loss = breakdown(misses, nodes, nodes, params)
 
     if keep_loss.total <= regrow_loss.total:
         return keep, keep_loss

@@ -195,6 +195,15 @@ def random_prev(rng, data):
     return retrain(prefix, LossParams(float(rng.choice([0.0, 0.5, 1.0])), 0.0))
 
 
+def assert_matches_oracle(prev, data, params, growth=GrowthConfig()):
+    out = update(prev, data, params, growth)
+    assert out == ref_update(prev, data, params, growth)
+    # The loss carried up to the root is the loss of the result, exactly.
+    tree, carried = UPDATE_MODULE._optimize(prev, *presort(data), params, growth, {})
+    assert tree == out
+    assert carried == loss(prev, out, data, params)
+
+
 def test_update_equals_grow_then_prune_oracle():
     rng = np.random.default_rng(57)
     penalties = [0.0, 0.1, 0.5, 1.0, 2.5, 5.0]
@@ -203,12 +212,20 @@ def test_update_equals_grow_then_prune_oracle():
         prev = random_prev(rng, data)
         params = LossParams(float(rng.choice(penalties)), float(rng.choice(penalties)))
         growth = GrowthConfig([1, 2, 3, None, 20][int(rng.integers(5))])
-        out = update(prev, data, params, growth)
-        assert out == ref_update(prev, data, params, growth)
-        # The loss carried up to the root is the loss of the result, exactly.
-        tree, carried = UPDATE_MODULE._optimize(prev, *presort(data), params, growth, {})
-        assert tree == out
-        assert carried == loss(prev, out, data, params)
+        assert_matches_oracle(prev, data, params, growth)
+
+
+def test_update_scores_a_regrow_sharing_the_root_split_as_the_oracle_does():
+    # The oracle credits the nodes a regrow shares with the previous tree;
+    # update counts them all as changed.  Here the root's regrow repeats the
+    # previous root split, so only the credit could tell them apart.
+    rng = np.random.default_rng(3)
+    data = random_dataset(rng, n_rows=60, n_classes=2)
+    params = LossParams(0.5, 0.5)
+    regrown = retrain(data, LossParams(params.alpha + params.beta, 0.0))
+    prev = Split(regrown.feature, regrown.threshold, Leaf(0), Leaf(0))
+    assert 0 < change_count(prev, regrown) < node_count(regrown)
+    assert_matches_oracle(prev, data, params)
 
 
 def tight_box(rows, block):
