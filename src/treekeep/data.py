@@ -131,7 +131,8 @@ def _split_chunk(lines: list[str]) -> list[list[str]]:
 
 def _parse_chunk(lines, n_cols, label_idx, out):
     """Parse a chunk into ``out`` one column at a time and return its label
-    cells; return None if any row is faulty (``out`` is then partly written)."""
+    cells; return None if a row is faulty or the reader fails on the chunk
+    (``out`` is then partly written)."""
     try:
         rows = _split_chunk(lines)
     except csv.Error:
