@@ -149,7 +149,7 @@ def random_text_file(rng):
     if has_header and rng.random() < 0.5:
         label_column = "zz" if rng.random() < 0.1 else f"h{label_idx}"
     elif rng.random() < 0.05:
-        label_column = (n_cols, -n_cols - 1, "h0")[int(rng.integers(3))]
+        label_column = (n_cols, -n_cols - 1, "zz")[int(rng.integers(3))]
     else:
         label_column = label_idx - n_cols if rng.random() < 0.5 else label_idx
 

@@ -218,7 +218,7 @@ def test_update_equals_grow_then_prune_oracle():
 def test_update_scores_a_regrow_sharing_the_root_split_as_the_oracle_does():
     # The oracle credits the nodes a regrow shares with the previous tree;
     # update counts them all as changed.  Here the root's regrow repeats the
-    # previous root split, so only the credit could tell them apart.
+    # previous root split, so the credit applies, and the two must agree.
     rng = np.random.default_rng(3)
     data = random_dataset(rng, n_rows=60, n_classes=2)
     params = LossParams(0.5, 0.5)
