@@ -23,7 +23,8 @@ very float cost, that growing and then pruning would, but it searches less:
   search.  A kept split costs at least ``p + p + p`` in floating point
   (each child costs at least ``p``, and rounding is monotone), its leaf
   costs ``m + p`` with ``m <= p + p``, and ties terminate; so pruning would
-  have cut the split anyway.
+  have cut the split anyway.  The code tests ``p + p + p >= target``, the
+  bound's form of this stop, which also covers a pure node.
 * Split memo: searches are kept by the first and last row id of each line
   of the block.  Those ids give the partition's tight bounding box.  Every
   partition one ``update`` searches is its data cut by an axis-aligned box,
@@ -31,10 +32,24 @@ very float cost, that growing and then pruning would, but it searches less:
   so the key is exact and does not depend on the node's level.  One update
   shares one memo across all its regrows: a node's regrow reuses the
   searches its children's regrows made.
+* Bound: a subtree is grown against the cost it must beat, and gives up
+  (returns None) once it cannot get under it.  A node's split must cost
+  less than ``target``, the smaller of its leaf's cost and the node's own
+  bound.  The left child gets the bound ``lb``, the least float from
+  ``target - p - p`` up with ``fl(fl(p + lb) + p) >= target``; once the
+  left cost ``L`` is known, the right child gets ``rb``, the least from
+  ``target - fl(p + L)`` up with ``fl(fl(p + L) + rb) >= target``.  Each
+  child costs at least ``p`` and rounding is monotone, so a child whose
+  cost reaches its bound makes the split's cost ``fl(fl(p + L) + R)`` reach
+  ``target``: pruning would cut the split, or the node misses its own
+  bound.  Every subtree that does return is exact, ties still go to the
+  leaf, and the memo's entries do not depend on the bound, so the tree and
+  cost are those of growing and then pruning, with fewer searches.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -225,20 +240,21 @@ def grow_pruned(data: Dataset, config: GrowthConfig, params: LossParams, memo: d
 
 
 def grow_pruned_block(
-    rows: Presorted, block: np.ndarray, config: GrowthConfig, per_node: float, memo: dict, level: int = 0
-) -> tuple[Tree, float, int, int]:
+    rows: Presorted, block: np.ndarray, config: GrowthConfig, per_node: float, memo: dict, level: int = 0,
+    bound: float = math.inf,
+) -> Optional[tuple[Tree, float, int, int]]:
     """``grow_pruned`` on a block: the tree, its cost, and the rows it
-    misclassifies and its node count, as ints."""
+    misclassifies and its node count, as ints; or None, only when that cost
+    is not below ``bound``."""
+    p = per_node
     counts = np.bincount(rows.labels[block[0]], minlength=rows.n_classes)
     mode = int(counts.argmax())
     misses = block.shape[1] - int(counts[mode])
-    leaf_cost = float(misses) + per_node
-    leaf = Leaf(mode), leaf_cost, misses, 1
-    if misses == 0:  # pure
-        return leaf
-    if config.max_depth is not None and level >= config.max_depth:
-        return leaf
-    if misses <= 2.0 * per_node:  # no split can beat this leaf
+    leaf_cost = float(misses) + p
+    leaf = (Leaf(mode), leaf_cost, misses, 1) if leaf_cost <= bound else None
+    # A kept split costs at least p + p + p; it must get under ``target``.
+    target = min(leaf_cost, bound)
+    if p + p + p >= target or (config.max_depth is not None and level >= config.max_depth):
         return leaf
     key = block[:, :: block.shape[1] - 1].tobytes()  # each line's first and last id
     if key in memo:
@@ -248,14 +264,22 @@ def grow_pruned_block(
     if cand is None:
         return leaf
     left_block, right_block = partition(rows, block, cand.feature, cand.threshold)
-    left, left_cost, left_misses, left_nodes = grow_pruned_block(
-        rows, left_block, config, per_node, memo, level + 1
-    )
-    right, right_cost, right_misses, right_nodes = grow_pruned_block(
-        rows, right_block, config, per_node, memo, level + 1
-    )
-    split_cost = per_node + left_cost + right_cost
-    if leaf_cost <= split_cost:
+    left_bound = target - p - p
+    while p + left_bound + p < target:  # raised until a left cost at the bound loses
+        left_bound = math.nextafter(left_bound, math.inf)
+    left = grow_pruned_block(rows, left_block, config, p, memo, level + 1, left_bound)
+    if left is None:
+        return leaf
+    left, left_cost, left_misses, left_nodes = left
+    right_bound = target - (p + left_cost)
+    while p + left_cost + right_bound < target:
+        right_bound = math.nextafter(right_bound, math.inf)
+    right = grow_pruned_block(rows, right_block, config, p, memo, level + 1, right_bound)
+    if right is None:
+        return leaf
+    right, right_cost, right_misses, right_nodes = right
+    split_cost = p + left_cost + right_cost
+    if split_cost >= target:  # ties go to the leaf
         return leaf
     tree = Split(cand.feature, cand.threshold, left, right)
     return tree, split_cost, left_misses + right_misses, 1 + left_nodes + right_nodes

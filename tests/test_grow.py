@@ -1,11 +1,12 @@
 import importlib
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from conftest import random_dataset, ref_best_split, ref_gini, ref_misclassified
-from treekeep import Dataset, GrowthConfig, Leaf, LossParams, Split, best_split, grow, prune
+from treekeep import Dataset, GrowthConfig, Leaf, LossParams, Split, best_split, grow, prune, update
 from treekeep.grow import _class_sum, grow_pruned, partition, presort, split_search
 from treekeep.prune import _prune
 from treekeep.tree import depth
@@ -218,14 +219,53 @@ def grown_then_pruned(data, max_depth, p):
     return tree, cost
 
 
+def noisy_dataset(rng, n_rows):
+    """Two thresholds label the rows and a quarter of the labels are redrawn:
+    the grown tree is deep and pruning, or the bound, cuts most of it."""
+    features = rng.uniform(0.0, 8.0, size=(n_rows, 3))
+    if rng.random() < 0.5:
+        features = np.floor(features * 4) / 4  # tied values
+    labels = (features[:, 0] > 4.0).astype(int) + (features[:, 1] > 2.0)
+    noise = rng.random(n_rows) < 0.25
+    labels[noise] = rng.integers(0, 3, size=int(noise.sum()))
+    return Dataset(features, labels, 3)
+
+
 def test_grow_pruned_equals_grow_then_prune():
     rng = np.random.default_rng(34)
     grid = itertools.product([0.0, 0.1, 1 / 3, 0.5, 1.0, 2.5, 5.0], [1, 2, 3, None])
-    for p, max_depth in list(grid) * 12:  # 336 datasets
-        data = random_dataset(rng, n_classes=int(rng.integers(2, 4)))
+    small = [(p, d, random_dataset(rng, n_classes=int(rng.integers(2, 4)))) for p, d in list(grid) * 12]
+    # Large noisy partitions, where the bound cuts subtrees short.
+    noisy = [
+        (p, max_depth, noisy_dataset(rng, int(rng.integers(200, 2001))))
+        for p, max_depth in itertools.product([0.1, 1 / 3, 1.0, 5.0], [6, None])
+    ]
+    for p, max_depth, data in small + noisy:  # 336 + 8 datasets
         tree, cost = grow_pruned(data, GrowthConfig(max_depth), LossParams(p, 0), {})
         assert (tree, cost) == grown_then_pruned(data, max_depth, p)
         assert type(cost) is float
+
+
+def test_grow_pruned_bound_cuts_searches(monkeypatch):
+    data = noisy_dataset(np.random.default_rng(37), 1000)
+    searched = []
+    monkeypatch.setattr(
+        GROW_MODULE, "split_search", lambda rows, block: searched.append(block) or split_search(rows, block)
+    )
+    tree, cost = grow_pruned(data, GrowthConfig(), LossParams(1.0, 0), {})
+    fused = len(searched)
+    searched.clear()
+    assert (tree, cost) == grown_then_pruned(data, None, 1.0)
+    # Pinned: without the bound the fused pass makes 112 searches here, and
+    # growing then pruning 243.
+    assert fused == 72 < len(searched)
+
+
+def test_grow_pruned_node_price_rounding_to_inf():
+    # alpha + beta overflows: every cost is inf, and an unbounded call still gives its tree.
+    params = LossParams(1e308, 1e308)
+    assert grow_pruned(FOUR, GrowthConfig(), params, {}) == (Leaf(0), math.inf)
+    assert update(grow(FOUR), FOUR, params) == grow(FOUR)
 
 
 @pytest.mark.parametrize(
