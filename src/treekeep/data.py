@@ -96,10 +96,16 @@ class Dataset:
 
 
 def _sort_key(raw: str):
+    """Numbers in numeric order, then every other label as a string.  NaN
+    counts as a string: it compares with no number, so among the numbers it
+    would leave their order to the order of the rows."""
     try:
-        return (0, float(raw), "")
+        value = float(raw)
     except ValueError:
+        value = math.nan
+    if math.isnan(value):
         return (1, 0.0, raw)
+    return (0, value, "")
 
 
 # Rows parsed at a time.  It bounds the cell strings held at once to a few

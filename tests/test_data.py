@@ -1,5 +1,6 @@
 import csv
 import importlib
+import itertools
 import os
 import threading
 
@@ -235,6 +236,15 @@ def test_load_csv_numerically_equal_labels_keep_first_seen_order(tmp_path):
     # the process's string hashes.
     for text, names in (("0,1.0\n1,1\n", ("1.0", "1")), ("0,1\n1,1.0\n", ("1", "1.0"))):
         assert load_csv(write(tmp_path, "d.csv", text), label_column=1).label_names == names
+
+
+def test_load_csv_label_order_does_not_depend_on_row_order(tmp_path):
+    # NaN sorts as a string after the numbers; among them it would compare
+    # with none and leave their order to the rows.
+    for order in itertools.permutations(["2", "nan", "1", "-inf", "NaN", "b"]):
+        text = "".join(f"{i},{label}\n" for i, label in enumerate(order))
+        data = load_csv(write(tmp_path, "d.csv", text), label_column=1)
+        assert data.label_names == ("-inf", "1", "2", "NaN", "b", "nan")
 
 
 def test_load_csv_rejects_a_pipe(tmp_path):
