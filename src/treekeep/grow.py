@@ -69,6 +69,8 @@ class GrowthConfig:
     max_depth: Optional[int] = 20
 
     def __post_init__(self):
+        if isinstance(self.max_depth, bool) or not isinstance(self.max_depth, (int, np.integer, type(None))):
+            raise TypeError(f"max_depth must be an integer or None, got {self.max_depth!r}")
         if self.max_depth is not None and self.max_depth < 1:
             raise ValueError("max_depth must be >= 1 or None for unlimited")
 

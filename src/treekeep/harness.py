@@ -464,9 +464,16 @@ def _reject_unknown(obj, allowed, what: str) -> None:
         raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
 
 
+def _json_number(key: str, value, kinds=(int, float)):
+    """``value`` if it is a JSON number of ``kinds``; a JSON ``true`` is not one."""
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise TypeError(f"{key} must be {'an integer' if kinds is int else 'a number'}, got {value!r}")
+    return value
+
+
 def _rectangle(obj) -> Rectangle:
     _reject_unknown(obj, [f.name for f in fields(Rectangle)], "rectangle")
-    return Rectangle(tuple(obj["lows"]), tuple(obj["highs"]), int(obj["label"]))
+    return Rectangle(tuple(obj["lows"]), tuple(obj["highs"]), _json_number("label", obj["label"], int))
 
 
 def _dataset_from_ref(ref, base_dir: str) -> tuple[str, Dataset]:
@@ -487,7 +494,10 @@ def _dataset_from_ref(ref, base_dir: str) -> tuple[str, Dataset]:
             raise ConfigError("dataset with 'path' needs 'label_column'")
         path = os.path.join(base_dir, ref["path"])
         name = ref.get("name") or os.path.splitext(os.path.basename(ref["path"]))[0]
-        return name, load_csv(path, ref["label_column"], bool(ref.get("has_header", False)))
+        has_header = ref.get("has_header", False)
+        if not isinstance(has_header, bool):
+            raise TypeError(f"has_header must be true or false, got {has_header!r}")
+        return name, load_csv(path, ref["label_column"], has_header)
     spec_obj = dict(ref["synthetic"])
     seed = spec_obj.pop("seed", 0)
     rects = tuple(_rectangle(r) for r in spec_obj.pop("rectangles", []))
@@ -515,18 +525,18 @@ def config_from_dict(obj: dict, base_dir: str = "."):
             dataset_name=name,
             # A JSON integer alpha would otherwise print as "1", not "1.0", in results.csv.
             algorithm=AlgorithmSpec(
-                **{k: float(v) if k in ("alpha", "beta") else v for k, v in algo_obj.items()}
+                **{k: float(_json_number(k, v)) if k in ("alpha", "beta") else v for k, v in algo_obj.items()}
             ),
             growth=GrowthConfig(**obj.get("growth", {})),
-            **{key: int(obj[key]) for key in INT_KEYS if key in obj},
+            **{key: _json_number(key, obj[key], int) for key in INT_KEYS if key in obj},
         )
         alphas = betas = None
         if "sweep" in obj:
             sweep_obj = obj["sweep"]
             if not isinstance(sweep_obj, dict) or set(sweep_obj) - {"alphas", "betas"}:
                 raise ConfigError("'sweep' takes only 'alphas' and 'betas' lists")
-            alphas = [float(a) for a in sweep_obj.get("alphas", [])]
-            betas = [float(b) for b in sweep_obj.get("betas", [])]
+            alphas = [float(_json_number("alphas", a)) for a in sweep_obj.get("alphas", [])]
+            betas = [float(_json_number("betas", b)) for b in sweep_obj.get("betas", [])]
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
     return config, alphas, betas

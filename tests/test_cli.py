@@ -177,18 +177,22 @@ def test_update_recursion_error_exits_3(tmp_path, capsys, monkeypatch):
     assert "error: tree is nested too deeply to process" in capsys.readouterr().err
 
 
+def blobs(label=1):
+    return {
+        "name": "blobs",
+        "synthetic": {
+            "n_rows": 300,
+            "n_features": 2,
+            "rectangles": [{"lows": [0, 0], "highs": [0.5, 1], "label": label}],
+            "flip_noise": 0.1,
+            "seed": 9,
+        },
+    }
+
+
 def eval_config(tmp_path, **overrides):
     obj = {
-        "dataset": {
-            "name": "blobs",
-            "synthetic": {
-                "n_rows": 300,
-                "n_features": 2,
-                "rectangles": [{"lows": [0, 0], "highs": [0.5, 1], "label": 1}],
-                "flip_noise": 0.1,
-                "seed": 9,
-            },
-        },
+        "dataset": blobs(),
         "algorithm": {"name": "keep_regrow", "alpha": 1, "beta": 1},
         "n_runs": 2,
         "n_batches": 3,
@@ -254,10 +258,42 @@ def test_eval_unknown_algorithm_lists_names(tmp_path, capsys):
         {"n_runs": None},
         {"growth": []},
         {"sweep": {"alphas": 5}},
+        # Values of the wrong JSON type are refused, not coerced.
+        {"n_runs": 2.7},
+        {"n_runs": True},
+        {"seed": "12"},
+        {"algorithm": {"name": "keep_regrow", "alpha": "5"}},
+        {"algorithm": {"name": "keep_regrow", "alpha": True}},
+        {"growth": {"max_depth": 2.5}},
+        {"growth": {"max_depth": True}},
+        {"sweep": {"alphas": ["1"]}},
+        {"sweep": {"betas": [False]}},
+        {"dataset": blobs(label=1.7)},
+        {"dataset": blobs(label=True)},
+        {"dataset": {"path": "four.csv", "label_column": -1, "has_header": "false"}},
     ],
-    ids=["max_depth_string", "alpha_null", "n_runs_null", "growth_list", "sweep_alphas_scalar"],
+    ids=[
+        "max_depth_string",
+        "alpha_null",
+        "n_runs_null",
+        "growth_list",
+        "sweep_alphas_scalar",
+        "n_runs_float",
+        "n_runs_bool",
+        "seed_string",
+        "alpha_string",
+        "alpha_bool",
+        "max_depth_float",
+        "max_depth_bool",
+        "sweep_alpha_string",
+        "sweep_beta_bool",
+        "rectangle_label_float",
+        "rectangle_label_bool",
+        "has_header_string",
+    ],
 )
 def test_eval_mistyped_config_value_exits_3(tmp_path, capsys, override):
+    (tmp_path / "four.csv").write_text(FOUR_ROWS)
     cfg = eval_config(tmp_path, **override)
     assert main(["eval", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 3
     assert "invalid config" in capsys.readouterr().err

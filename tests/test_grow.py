@@ -208,6 +208,10 @@ def test_grow_beats_single_leaf():
 def test_growth_config_validation():
     with pytest.raises(ValueError):
         GrowthConfig(max_depth=0)
+    for mistyped in (2.5, True, "5"):
+        with pytest.raises(TypeError):
+            GrowthConfig(max_depth=mistyped)
+    assert GrowthConfig(max_depth=np.int64(3)).max_depth == 3
     assert GrowthConfig(max_depth=None).max_depth is None
 
 
