@@ -45,6 +45,17 @@ very float cost, that growing and then pruning would, but it searches less:
   bound.  Every subtree that does return is exact, ties still go to the
   leaf, and the memo's entries do not depend on the bound, so the tree and
   cost are those of growing and then pruning, with fewer searches.
+* Lower-bound memo: a call that searches and still returns None has shown
+  that its block, grown with its room (the levels ``max_depth`` leaves below
+  it) or less, costs at least its bound.  The block's memo entry keeps the
+  room and bound of its latest such failure, and a later call on the block
+  with no more room and no higher bound returns None before it partitions.
+  Less room only truncates the greedy tree, and every pruning of a
+  truncated tree is a pruning of the fuller one; the cost is the least,
+  over prunings, of float sums that rounding keeps monotone in their terms,
+  so it cannot drop as the room shrinks.  With ``max_depth`` None the room
+  is always infinite.  Costs depend on the price of a node, so calls that
+  share a memo share the price too.
 """
 
 from __future__ import annotations
@@ -235,7 +246,8 @@ def grow_pruned(data: Dataset, config: GrowthConfig, params: LossParams, memo: d
 
     The cost is misclassifications + (alpha + beta) per node, summed exactly
     as ``prune`` sums it.  ``memo`` maps blocks of ``data``'s row ids to
-    their split search; calls on the same data may share one.
+    their split search and failures; calls on the same data and ``params``
+    may share one.
     """
     tree, cost, _, _ = grow_pruned_block(*presort(data), config, params.alpha + params.beta, memo)
     return tree, cost
@@ -256,32 +268,35 @@ def grow_pruned_block(
     leaf = (Leaf(mode), leaf_cost, misses, 1) if leaf_cost <= bound else None
     # A kept split costs at least p + p + p; it must get under ``target``.
     target = min(leaf_cost, bound)
-    if p + p + p >= target or (config.max_depth is not None and level >= config.max_depth):
+    room = math.inf if config.max_depth is None else config.max_depth - level  # levels left to grow
+    if p + p + p >= target or room <= 0:
         return leaf
     key = block[:, :: block.shape[1] - 1].tobytes()  # each line's first and last id
-    if key in memo:
-        cand = memo[key]
-    else:
-        cand = memo[key] = split_search(rows, block)
+    entry = memo.get(key)
+    if entry is None:  # [split search, room and bound of the latest failure]
+        entry = memo[key] = [split_search(rows, block), 0, -math.inf]
+    cand, failed_room, failed_bound = entry
     if cand is None:
         return leaf
+    if room <= failed_room and bound <= failed_bound:  # the block costs at least failed_bound
+        return None
     left_block, right_block = partition(rows, block, cand.feature, cand.threshold)
     left_bound = target - p - p
     while p + left_bound + p < target:  # raised until a left cost at the bound loses
         left_bound = math.nextafter(left_bound, math.inf)
     left = grow_pruned_block(rows, left_block, config, p, memo, level + 1, left_bound)
-    if left is None:
-        return leaf
-    left, left_cost, left_misses, left_nodes = left
-    right_bound = target - (p + left_cost)
-    while p + left_cost + right_bound < target:
-        right_bound = math.nextafter(right_bound, math.inf)
-    right = grow_pruned_block(rows, right_block, config, p, memo, level + 1, right_bound)
-    if right is None:
-        return leaf
-    right, right_cost, right_misses, right_nodes = right
-    split_cost = p + left_cost + right_cost
-    if split_cost >= target:  # ties go to the leaf
-        return leaf
-    tree = Split(cand.feature, cand.threshold, left, right)
-    return tree, split_cost, left_misses + right_misses, 1 + left_nodes + right_nodes
+    if left is not None:
+        left, left_cost, left_misses, left_nodes = left
+        right_bound = target - (p + left_cost)
+        while p + left_cost + right_bound < target:
+            right_bound = math.nextafter(right_bound, math.inf)
+        right = grow_pruned_block(rows, right_block, config, p, memo, level + 1, right_bound)
+        if right is not None:
+            right, right_cost, right_misses, right_nodes = right
+            split_cost = p + left_cost + right_cost
+            if split_cost < target:  # ties go to the leaf
+                tree = Split(cand.feature, cand.threshold, left, right)
+                return tree, split_cost, left_misses + right_misses, 1 + left_nodes + right_nodes
+    if leaf is None:
+        entry[1:] = room, bound
+    return leaf

@@ -19,7 +19,25 @@ equal to pruning a fully grown subtree.  It stops growing at any node whose
 majority class misclassifies at most 2 * (alpha + beta) rows: no split below
 it could survive pruning.  One update shares a single split memo across all
 its regrows, keyed by the rows of each partition, so a node's regrow reuses
-the split searches its children's regrows already made.
+the split searches its children's regrows already made, and skips the blocks
+they proved too costly for the bound it has there.
+
+Each regrow is bounded by the loss it must beat.  With ``K`` keep's total
+and ``n`` the node's rows, ``_optimize`` passes the bound
+``B = (K + 2**-1000) * (1 + (n + 2) * 2**-50)`` and keeps when the fused pass
+gives up, which it does only when the regrow's fused cost ``C`` is at least
+``B``.  Then the regrow's total ``T`` under ``loss`` is at least ``K``, so
+keep would win or tie anyway.  Both are float sums of non-negative terms
+whose exact sum is ``E = f + (alpha + beta) * c`` for the regrow's ``f``
+misclassified rows and ``c`` nodes; every leaf holds a row, so
+``c <= 2n - 1``.  With ``u = 2**-53``: ``C`` adds at most ``3n`` terms,
+each rounded at most ``3n`` times counting ``p = alpha + beta`` itself, so
+``C <= E * (1 + u)**(3n)``; ``T`` rounds each term at most three times and
+its two products may underflow by ``2**-1075`` each, so
+``T >= E * (1 - u)**3 - 2**-1073``.  If ``T < K``, then
+``C < (K + 2**-1073) * (1 + u)**(3n) / (1 - u)**3``, which for
+``n <= 2**45`` is below ``(K + 2**-1000) * (1 - u)**3 * (1 + 8 * (n + 2) * u)``,
+and that is at most ``B`` after its own three roundings.
 
 The data is presorted once per update (``grow.presort``); every node, kept or
 regrown, works on a block of row ids that a stable partition keeps sorted
@@ -109,7 +127,12 @@ def _optimize(
             params,
         )
 
-    regrown, _, misses, nodes = grow_pruned_block(rows, block, growth, params.alpha + params.beta, memo)
+    # A regrow that cannot get under this bound loses to keep or ties it (module docstring).
+    bound = (keep_loss.total + 2.0**-1000) * (1.0 + (block.shape[1] + 2) * 2.0**-50)
+    regrow = grow_pruned_block(rows, block, growth, params.alpha + params.beta, memo, bound=bound)
+    if regrow is None:
+        return keep, keep_loss
+    regrown, _, misses, nodes = regrow
     regrow_loss = breakdown(misses, nodes, nodes, params)
 
     if keep_loss.total <= regrow_loss.total:

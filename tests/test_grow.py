@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_dataset, ref_best_split, ref_gini, ref_misclassified
-from treekeep import Dataset, GrowthConfig, Leaf, LossParams, Split, best_split, grow, prune, update
-from treekeep.grow import _class_sum, grow_pruned, partition, presort, split_search
+from conftest import random_dataset, ref_best_split, ref_gini, ref_misclassified, ref_update
+from treekeep import Dataset, GrowthConfig, Leaf, LossParams, Split, best_split, grow, prune, retrain, update
+from treekeep.grow import _class_sum, grow_pruned, grow_pruned_block, partition, presort, split_search
 from treekeep.prune import _prune
-from treekeep.tree import depth
+from treekeep.tree import depth, node_count
 
 # The module itself: the package re-exports the function ``grow``.
 GROW_MODULE = importlib.import_module("treekeep.grow")
@@ -298,3 +298,62 @@ def test_grow_pruned_splits_just_above_2p():
     tree, cost = grow_pruned(FOUR, GrowthConfig(), LossParams(0.9, 0), {})
     assert tree == Split(0, 2.5, Leaf(0), Leaf(1))
     assert (tree, cost) == grown_then_pruned(FOUR, None, 0.9)
+
+
+def counting_partitions(monkeypatch):
+    """Record every block ``grow_pruned_block`` partitions."""
+    partitioned = []
+
+    def recording_partition(rows, block, feature, threshold):
+        partitioned.append(block)
+        return partition(rows, block, feature, threshold)
+
+    monkeypatch.setattr(GROW_MODULE, "partition", recording_partition)
+    return partitioned
+
+
+def test_update_carried_bounds_cut_partitions(monkeypatch):
+    data = noisy_dataset(np.random.default_rng(37), 600)
+    params = LossParams(1.0, 0.0)
+    prev = retrain(data.subset(np.arange(300)), params)
+    partitioned = counting_partitions(monkeypatch)
+    out = update(prev, data, params)
+    assert out == ref_update(prev, data, params)
+    # Pinned: with neither the lower-bound memo nor the keep bound, the
+    # regrows of this update partition 116 blocks.
+    assert len(partitioned) == 56
+
+
+# Six rows that one split cannot separate and two levels can: the block
+# costs its leaf, 2 + p, with one level of room, and 5p with two.
+SIX = dataset([1, 2, 3, 4, 5, 6], [0, 0, 1, 1, 0, 0])
+
+
+def test_grow_pruned_block_reuses_a_failure_only_at_its_level_or_deeper(monkeypatch):
+    rows, block = presort(SIX)
+    config, p = GrowthConfig(max_depth=2), 0.1
+    tree, cost = grow_pruned(SIX, config, LossParams(p, 0), {})
+    assert (node_count(tree), cost) == (5, 0.5)
+    memo = {}
+    # From level 1 only a stump fits under max_depth, and it does not beat the leaf's 2.1.
+    assert grow_pruned_block(rows, block, config, p, memo, level=1, bound=1.0) is None
+    partitioned = counting_partitions(monkeypatch)
+    assert grow_pruned_block(rows, block, config, p, memo, level=1, bound=1.0) is None
+    assert partitioned == []  # the failure is remembered ...
+    # ... but not carried to a shallower start, where the block costs 0.5.
+    assert grow_pruned_block(rows, block, config, p, memo, level=0, bound=1.0)[:2] == (tree, cost)
+
+
+def test_grow_pruned_block_reuses_a_failure_only_up_to_its_bound(monkeypatch):
+    rows, block = presort(SIX)
+    config, p = GrowthConfig(max_depth=None), 0.1
+    tree, cost = grow_pruned(SIX, config, LossParams(p, 0), {})
+    memo = {}
+    assert grow_pruned_block(rows, block, config, p, memo, bound=0.4) is None
+    partitioned = counting_partitions(monkeypatch)
+    # A lower bound, or any level with max_depth None, reuses the failure.
+    assert grow_pruned_block(rows, block, config, p, memo, level=3, bound=0.35) is None
+    assert partitioned == []
+    # A higher bound than the one that failed still searches and finds the tree.
+    assert grow_pruned_block(rows, block, config, p, memo, bound=0.6)[:2] == (tree, cost)
+    assert partitioned != []

@@ -1,4 +1,5 @@
 import importlib
+import itertools
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from treekeep import (
     update,
 )
 from treekeep.errors import InputShapeError
-from treekeep.grow import presort, split_search
+from treekeep.grow import grow_pruned, presort, split_search
 from treekeep.tree import node_at
 
 # The modules, not the functions the package re-exports under the same names.
@@ -213,6 +214,13 @@ def test_update_equals_grow_then_prune_oracle():
         params = LossParams(float(rng.choice(penalties)), float(rng.choice(penalties)))
         growth = GrowthConfig([1, 2, 3, None, 20][int(rng.integers(5))])
         assert_matches_oracle(prev, data, params, growth)
+    # Penalties with no exact binary form: the fused pass and ``loss`` round
+    # their sums differently, and the keep bound must cover the gap.
+    non_dyadic = [0.1, 1 / 3, 0.7, 1e-3]
+    for alpha, beta, max_depth in itertools.product(non_dyadic, non_dyadic, [1, 2, 3, None]):
+        for _ in range(3):
+            data = random_dataset(rng, n_classes=int(rng.integers(2, 4)))
+            assert_matches_oracle(random_prev(rng, data), data, LossParams(alpha, beta), GrowthConfig(max_depth))
 
 
 def test_update_scores_a_regrow_sharing_the_root_split_as_the_oracle_does():
@@ -226,6 +234,37 @@ def test_update_scores_a_regrow_sharing_the_root_split_as_the_oracle_does():
     prev = Split(regrown.feature, regrown.threshold, Leaf(0), Leaf(0))
     assert 0 < change_count(prev, regrown) < node_count(regrown)
     assert_matches_oracle(prev, data, params)
+
+
+@pytest.mark.parametrize(
+    "prev, params, regrown",
+    [
+        # keep: 2 misses; regrow: the stump's three nodes at 2/3 each, 2.0 once rounded
+        (Leaf(1), LossParams(0.0, 2 / 3), STUMP),
+        # keep: 2 misses + 1; regrow: the other leaf, which ties the stump in the fused pass
+        (Leaf(1), LossParams(1.0, 0.0), Leaf(0)),
+        # keep: 1 miss + 3 * 0.25; regrow: the stump at 0.25 + 1/3 a node
+        (Split(0, 1.5, Leaf(0), Leaf(1)), LossParams(0.25, 1 / 3), STUMP),
+    ],
+)
+def test_update_keeps_on_an_exact_tie(prev, params, regrown):
+    assert retrain(FOUR, LossParams(params.alpha + params.beta, 0.0)) == regrown
+    assert loss(prev, prev, FOUR, params).total == loss(None, regrown, FOUR, params).total
+    assert update(prev, FOUR, params) == prev
+    assert_matches_oracle(prev, FOUR, params)
+
+
+def test_update_keep_bound_covers_the_rounding_gap():
+    # Keep (2 misses + 0.6) and the stump regrow (3 * 0.6 + 3 * 4/15) tie
+    # in exact arithmetic.  ``loss`` rounds the regrow below keep's 2.6, so
+    # the regrow wins, while the fused pass rounds it to 2.6 exactly: a
+    # regrow bounded by keep's loss alone would give up and keep the leaf.
+    prev, params = Leaf(1), LossParams(0.6, 4 / 15)
+    keep_total = loss(prev, prev, FOUR, params).total
+    assert loss(None, STUMP, FOUR, params).total < keep_total
+    assert grow_pruned(FOUR, GrowthConfig(), LossParams(params.alpha + params.beta, 0.0), {}) == (STUMP, keep_total)
+    assert update(prev, FOUR, params) == STUMP
+    assert_matches_oracle(prev, FOUR, params)
 
 
 def tight_box(rows, block):
