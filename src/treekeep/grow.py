@@ -12,7 +12,11 @@ a block with one boolean mask; the filter is stable, so every line of both
 sides stays sorted, and no node sorts or copies features.  ``split_search``
 scores the candidates of many features in one vectorised sweep, with the
 arithmetic of a per-feature search; ``best_split`` is that search on a
-freshly presorted dataset.
+freshly presorted dataset.  A sweep scores the whole position grid, the cut
+after every row of every line but the last row, and masks out the positions
+between equal values rather than listing the true cuts; its class counts
+are cumulated from labels stored in the narrowest unsigned type that holds
+them (one byte up to 256 classes).
 
 ``grow_pruned`` fuses ``grow`` with ``prune.prune`` into one recursion over
 blocks for ``update`` and ``retrain``.  It returns the very tree, and the
@@ -96,7 +100,7 @@ class Presorted(NamedTuple):
     """A dataset laid out for the index engine; see ``presort``."""
 
     columns: np.ndarray  # (n_features, n_rows): line j holds feature j by row id
-    labels: np.ndarray  # class index by row id
+    labels: np.ndarray  # class index by row id, in the narrowest unsigned type (uint8 up to 256 classes)
     n_classes: int
 
 
@@ -107,7 +111,9 @@ def presort(data: Dataset) -> tuple[Presorted, np.ndarray]:
         columns = np.zeros((1, data.n_rows))
     # Row ids in the narrowest type that holds them: blocks take less memory.
     block = np.argsort(columns, axis=1, kind="stable").astype(np.min_scalar_type(-data.n_rows))
-    return Presorted(columns, data.labels, data.n_classes), block
+    # Labels too: a search compares and gathers one byte per row up to 256 classes.
+    labels = data.labels.astype(np.min_scalar_type(data.n_classes - 1))
+    return Presorted(columns, labels, data.n_classes), block
 
 
 def partition(rows: Presorted, block: np.ndarray, feature: int, threshold: float):
@@ -149,63 +155,81 @@ def _class_sum(term, first: int, n: int):
 SWEEP_SIZE = 1 << 14
 
 
-def split_search(rows: Presorted, block: np.ndarray) -> Optional[SplitCandidate]:
+def split_search(
+    rows: Presorted, block: np.ndarray, counts: Optional[np.ndarray] = None
+) -> Optional[SplitCandidate]:
     """Best Gini split of a block's rows over all features, or None if nothing strictly helps.
 
+    ``counts`` are the block's class counts, when the caller has them.
     Lines are scored together, as many per sweep as ``SWEEP_SIZE`` allows,
-    over cumulative class counts taken one class at a time, so no (features,
-    rows, classes) array is built.  Every decrease is computed with the
-    operations, in the order, of a per-feature ``np.sum`` over classes, so
-    results are bit-for-bit those of searching each feature on its own.
+    at every position of their grid: the cut after each row but the last.
+    Cumulative class counts are taken one class at a time from the narrow
+    labels, so memory does not grow with the class count and no (features,
+    rows, classes) array is built.  Positions between equal values are set
+    to ``-inf`` before one row-major argmax over the grid, whose first
+    maximum is the lowest feature, then the lowest threshold.  Every
+    decrease is computed with the operations, in the order, of a
+    per-feature ``np.sum`` over classes, so results are bit-for-bit those of
+    searching each feature on its own.
     """
     n_lines, n = block.shape
-    total = np.bincount(rows.labels[block[0]], minlength=rows.n_classes).astype(np.float64)
+    if n < 2:
+        return None
+    if counts is None:
+        counts = np.bincount(rows.labels[block[0]], minlength=rows.n_classes)
+    total = counts.astype(np.float64)
     parent = _gini(total, n)
+    sizes = np.empty((2, 1, n - 1))  # rows left and right of each position
+    sizes[0, 0] = np.arange(1, n)
+    np.subtract(n, sizes[0], out=sizes[1])
     step = max(1, SWEEP_SIZE // n)
     best: Optional[SplitCandidate] = None
     for first in range(0, n_lines, step):
-        cand = _sweep(rows, block[first : first + step], first, total, parent)
+        cand = _sweep(rows, block[first : first + step], first, total, parent, sizes)
         if cand is not None and (best is None or cand.decrease > best.decrease):
             best = cand
     return best
 
 
-def _sweep(rows: Presorted, lines: np.ndarray, first: int, total: np.ndarray, parent: float):
-    """The best split among ``lines``, the block's lines from feature ``first`` on."""
+def _sweep(
+    rows: Presorted, lines: np.ndarray, first: int, total: np.ndarray, parent: float, sizes: np.ndarray
+):
+    """The best split among ``lines``, the block's lines from feature ``first``
+    on; ``sizes`` holds the rows left and right of each position."""
     n_lines, n = lines.shape
-    values = rows.columns[first : first + n_lines][np.arange(n_lines)[:, None], lines]
-    labels = rows.labels[lines]
-    # line and position of each cut: between the line's rows pos and pos + 1
-    line, pos = np.nonzero(values[:, :-1] != values[:, 1:])
-    if pos.size == 0:
-        return None
-    sizes = np.empty((2, pos.size))  # rows left and right of each cut
-    sizes[0] = pos + 1
-    np.subtract(n, sizes[0], out=sizes[1])
-
-    taken = np.zeros(pos.size)  # rows left of each cut in the classes so far
+    # Each line's values, by one take from the flattened columns.
+    stride = rows.columns.shape[1]
+    starts = np.arange(first * stride, (first + n_lines) * stride, stride)
+    values = rows.columns.take(lines + starts[:, None])
+    labels = rows.labels.take(lines[:, :-1])  # the last row is left of no position
+    taken = np.zeros((n_lines, n - 1))  # rows left of each position in the classes so far
 
     def squared_shares(c):  # _class_sum asks for c = 0, 1, ... in turn
-        counts = np.empty_like(sizes)
+        shares = np.empty((2, n_lines, n - 1))
         if c < rows.n_classes - 1:
-            counts[0] = (labels == c).cumsum(axis=1)[line, pos]
-            np.add(taken, counts[0], out=taken)
+            np.cumsum(labels == c, axis=1, dtype=np.float64, out=shares[0])
+            np.add(taken, shares[0], out=taken)
         else:  # the last class holds every row the others do not
-            np.subtract(sizes[0], taken, out=counts[0])
-        np.subtract(total[c], counts[0], out=counts[1])
-        return (counts / sizes) ** 2
+            np.subtract(sizes[0], taken, out=shares[0])
+        np.subtract(total[c], shares[0], out=shares[1])
+        np.divide(shares, sizes, out=shares)
+        return np.square(shares, out=shares)
 
-    gini = 1.0 - _class_sum(squared_shares, 0, rows.n_classes)
-    decrease = parent - (sizes[0] / n) * gini[0] - (sizes[1] / n) * gini[1]
+    gini = _class_sum(squared_shares, 0, rows.n_classes)  # every term is a new array, so this one is ours
+    np.subtract(1.0, gini, out=gini)
+    gini *= sizes / n
+    decrease = np.subtract(parent, gini[0], out=gini[0])
+    decrease -= gini[1]
+    decrease[values[:, :-1] == values[:, 1:]] = -np.inf  # no cut between equal values
     best = int(decrease.argmax())  # first max: lowest feature, then lowest threshold
-    if decrease[best] <= 0.0:
+    j, cut = divmod(best, n - 1)
+    if decrease[j, cut] <= 0.0:
         return None
-    j, cut = int(line[best]), int(pos[best])
     lo, hi = values[j, cut], values[j, cut + 1]
     threshold = (lo + hi) / 2.0
     if threshold >= hi:  # midpoint rounded up between adjacent floats
         threshold = lo
-    return SplitCandidate(first + j, float(threshold), float(decrease[best]))
+    return SplitCandidate(first + j, float(threshold), float(decrease[j, cut]))
 
 
 def best_split(data: Dataset) -> Optional[SplitCandidate]:
@@ -274,7 +298,7 @@ def grow_pruned_block(
     key = block[:, :: block.shape[1] - 1].tobytes()  # each line's first and last id
     entry = memo.get(key)
     if entry is None:  # [split search, room and bound of the latest failure]
-        entry = memo[key] = [split_search(rows, block), 0, -math.inf]
+        entry = memo[key] = [split_search(rows, block, counts), 0, -math.inf]
     cand, failed_room, failed_bound = entry
     if cand is None:
         return leaf

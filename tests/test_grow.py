@@ -1,6 +1,7 @@
 import importlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -88,8 +89,9 @@ def adjacent_floats(rng, n_rows):
 
 
 def search_case(rng, case):
-    n_rows = [1, 2, None][case % 3]
-    n_classes = [1, 2, 3, 4, 2, 3, 9, 130][case % 8]
+    # 256 and 257 classes store labels as uint8 and uint16.
+    n_classes = [1, 2, 3, 4, 2, 3, 9, 130, 256, 257][case % 10]
+    n_rows = [1, 2, None, int(rng.integers(65, 2001))][case // 10 % 4]
     data = random_dataset(rng, n_rows=n_rows, n_features=int(rng.integers(1, 5)), n_classes=n_classes)
     features = data.features.copy()
     for j in range(features.shape[1]):
@@ -101,14 +103,18 @@ def search_case(rng, case):
     return Dataset(features, data.labels, n_classes)
 
 
-@pytest.mark.parametrize("sweep_size", [None, 1])
-def test_split_search_equals_per_feature_reference(monkeypatch, sweep_size):
-    if sweep_size is not None:  # one line per sweep, as on large blocks
-        monkeypatch.setattr(GROW_MODULE, "SWEEP_SIZE", sweep_size)
+@pytest.mark.parametrize("lines_per_sweep", [None, 1, 2])
+def test_split_search_equals_per_feature_reference(monkeypatch, lines_per_sweep):
+    def sweep_lines(n_rows):
+        # 1: one line per sweep, as on large blocks; 2: blocks of 3 or 4 lines take two sweeps.
+        if lines_per_sweep is not None:
+            monkeypatch.setattr(GROW_MODULE, "SWEEP_SIZE", lines_per_sweep * n_rows)
+
     rng = np.random.default_rng(35)
     searched = 0
     for case in range(400):
         data = search_case(rng, case)
+        sweep_lines(data.n_rows)
         assert bits(best_split(data)) == bits(ref_best_split(data))
         # Blocks made by partition search as their rows would on their own.
         rows, block = presort(data)
@@ -121,9 +127,26 @@ def test_split_search_equals_per_feature_reference(monkeypatch, sweep_size):
             for line in range(data.n_features):  # the side's rows, stably sorted by that feature
                 assert np.array_equal(side[line], ids[np.argsort(data.features[ids, line], kind="stable")])
             if ids.size:
+                sweep_lines(ids.size)
                 assert bits(split_search(rows, side)) == bits(ref_best_split(data.subset(ids)))
                 searched += 1
     assert searched > 400
+
+
+def test_split_search_memory_does_not_grow_with_the_class_count():
+    # One (side, line, position) array per class: about 5 MB here.  A class
+    # axis on that array, (side, class, line, position), would take 96 MB.
+    rng = np.random.default_rng(38)
+    data = Dataset(rng.random((20000, 4)), rng.integers(0, 300, 20000), 300)
+    rows, block = presort(data)
+    tracemalloc.start()
+    try:
+        cand = split_search(rows, block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cand is not None
+    assert peak < 8 * 2**20
 
 
 def test_split_search_midpoint_guard():
@@ -254,7 +277,9 @@ def test_grow_pruned_bound_cuts_searches(monkeypatch):
     data = noisy_dataset(np.random.default_rng(37), 1000)
     searched = []
     monkeypatch.setattr(
-        GROW_MODULE, "split_search", lambda rows, block: searched.append(block) or split_search(rows, block)
+        GROW_MODULE,
+        "split_search",
+        lambda rows, block, counts=None: searched.append(block) or split_search(rows, block, counts),
     )
     tree, cost = grow_pruned(data, GrowthConfig(), LossParams(1.0, 0), {})
     fused = len(searched)
@@ -283,7 +308,9 @@ def test_grow_pruned_stops_early_at_m_equal_2p(monkeypatch, p, m, x, y):
     data = dataset(x, y)
     searched = []
     monkeypatch.setattr(
-        GROW_MODULE, "split_search", lambda rows, block: searched.append(block) or split_search(rows, block)
+        GROW_MODULE,
+        "split_search",
+        lambda rows, block, counts=None: searched.append(block) or split_search(rows, block, counts),
     )
     tree, cost = grow_pruned(data, GrowthConfig(), LossParams(p, 0), {})
     assert (tree, cost) == (Leaf(0), m + p)

@@ -223,6 +223,20 @@ def test_update_equals_grow_then_prune_oracle():
             assert_matches_oracle(random_prev(rng, data), data, LossParams(alpha, beta), GrowthConfig(max_depth))
 
 
+@pytest.mark.parametrize("beta", [0.0, 1.0, 100.0])
+def test_update_with_a_previous_class_the_data_lacks(beta):
+    # Labels of 2-class data narrow to uint8.  A previous leaf of class 300
+    # matches none of them, so every row that reaches it is misclassified.
+    data = random_dataset(np.random.default_rng(58), n_rows=60, n_classes=2)
+    prev = Split(0, 3.5, Leaf(300), Leaf(1))
+    assert_matches_oracle(prev, data, LossParams(1.0, beta))
+    goes_left = data.features[:, 0] <= 3.5
+    misses = np.count_nonzero(goes_left) + np.count_nonzero(data.labels[~goes_left] != 1)
+    assert loss(prev, prev, data, LossParams(1.0, beta)).misclassifications == misses > 0
+    if beta == 100.0:  # keep wins, class 300 and all
+        assert update(prev, data, LossParams(1.0, beta)) == prev
+
+
 def test_update_scores_a_regrow_sharing_the_root_split_as_the_oracle_does():
     # The oracle credits the nodes a regrow shares with the previous tree;
     # update counts them all as changed.  Here the root's regrow repeats the
@@ -281,9 +295,9 @@ def test_update_searches_each_partition_once(monkeypatch):
     assert (root.feature, root.threshold) == (prev.feature, prev.threshold)
     searched = []
 
-    def recording_search(rows, block):
+    def recording_search(rows, block, counts=None):
         searched.append(tight_box(rows, block))
-        return split_search(rows, block)
+        return split_search(rows, block, counts)
 
     monkeypatch.setattr(GROW_MODULE, "split_search", recording_search)
     # alpha = beta = 0: the early stop fires only on pure nodes, so the saving is the memo's.
