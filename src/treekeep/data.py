@@ -203,7 +203,8 @@ def load_csv(path, label_column: Union[int, str], has_header: bool = False) -> D
     """
     if not os.path.exists(path):
         raise DataLoadError(f"dataset file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
+    # utf-8-sig drops the byte order mark that spreadsheet "CSV UTF-8" exports begin with.
+    with open(path, "r", encoding="utf-8-sig") as fh:
         if not fh.seekable():
             raise DataLoadError(f"{path}: not a regular file (it is read twice)")
         n_lines = sum(1 for _ in _nonblank(fh))

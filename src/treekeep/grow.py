@@ -8,19 +8,25 @@ Split searches run on an index engine, as in CART's presort.  ``presort``
 sorts every feature column of a dataset once.  The rows that reach a node
 are then a block: an ``(n_features, n_rows)`` array of row ids whose line
 ``j`` lists the node's rows in order of feature ``j``.  ``partition`` splits
-a block with one boolean mask; the filter is stable, so every line of both
-sides stays sorted, and no node sorts or copies features.  ``split_search``
-scores the candidates of many features in one vectorised sweep, with the
-arithmetic of a per-feature search; ``best_split`` is that search on a
-freshly presorted dataset.  A sweep scores the whole position grid, the cut
-after every row of every line but the last row, and masks out the positions
-between equal values rather than listing the true cuts; its class counts
-are cumulated from labels stored in the narrowest unsigned type that holds
-them (one byte up to 256 classes).
+a block with one boolean mask over the flattened block; the filter is
+stable, so every line of both sides stays sorted, and no node sorts or
+copies features.  ``split_search`` scores the candidates of many features
+in one vectorised sweep, with the arithmetic of a per-feature search;
+``best_split`` is that search on a freshly presorted dataset.  A sweep
+scores the whole position grid, the cut after every row of every line but
+the last row, and masks out the positions between equal values rather than
+listing the true cuts; its class counts are cumulated from labels stored in
+the narrowest unsigned type that holds them (one byte up to 256 classes).
+Only a feature with two equal values anywhere (``Presorted.tied``) can have
+equal neighbours in a block, so a sweep of tie-free lines skips the mask
+and does not gather their values.
 
 ``grow_pruned`` fuses ``grow`` with ``prune.prune`` into one recursion over
-blocks for ``update`` and ``retrain``.  It returns the very tree, and the
-very float cost, that growing and then pruning would, but it searches less:
+blocks for ``update`` and ``retrain``.  Class counts are handed down it: a
+partition counts the left side's first line once, the right side's counts
+are the parent's minus those, and each child's call takes its counts.  It
+returns the very tree, and the very float cost, that growing and then
+pruning would, but it searches less:
 
 * Exact early stop: a node whose majority class misclassifies ``m`` rows
   with ``m <= 2p`` (``p`` the price of a node) becomes a leaf without a
@@ -39,16 +45,23 @@ very float cost, that growing and then pruning would, but it searches less:
 * Bound: a subtree is grown against the cost it must beat, and gives up
   (returns None) once it cannot get under it.  A node's split must cost
   less than ``target``, the smaller of its leaf's cost and the node's own
-  bound.  The left child gets the bound ``lb``, the least float from
-  ``target - p - p`` up with ``fl(fl(p + lb) + p) >= target``; once the
-  left cost ``L`` is known, the right child gets ``rb``, the least from
-  ``target - fl(p + L)`` up with ``fl(fl(p + L) + rb) >= target``.  Each
-  child costs at least ``p`` and rounding is monotone, so a child whose
-  cost reaches its bound makes the split's cost ``fl(fl(p + L) + R)`` reach
-  ``target``: pruning would cut the split, or the node misses its own
-  bound.  Every subtree that does return is exact, ties still go to the
-  leaf, and the memo's entries do not depend on the bound, so the tree and
-  cost are those of growing and then pruning, with fewer searches.
+  bound.  Any cost the right child returns is at least
+  ``LB_R = min(fl(m_R + p), fl(fl(p + p) + p))``, with ``m_R`` the rows its
+  majority class misses: it returns its leaf, or a split whose children
+  each cost at least ``p``, and rounding is monotone.  So the left child
+  gets the bound ``lb``, the least float from ``target - p - LB_R`` up with
+  ``fl(fl(p + lb) + LB_R) >= target`` (the sibling's lower bound, as in
+  MurTree); once the left cost ``L`` is known, the right child gets ``rb``,
+  the least from ``target - fl(p + L)`` up with
+  ``fl(fl(p + L) + rb) >= target``.  A left cost ``L >= lb`` makes the
+  split's cost ``fl(fl(p + L) + R) >= fl(fl(p + lb) + LB_R)`` reach
+  ``target``, and so does a right cost ``R >= rb``: pruning would cut the
+  split, or the node misses its own bound.  Every subtree that does return
+  is exact, ties still go to the leaf, and the memo's entries do not depend
+  on the bound, so the tree and cost are those of growing and then pruning,
+  with fewer searches.  Both least floats are found by a few ulp steps and,
+  past them, by bisection over the floats' ordered bit patterns: after
+  cancellation a start can lie billions of ulps below its bound.
 * Lower-bound memo: a call that searches and still returns None has shown
   that its block, grown with its room (the levels ``max_depth`` leaves below
   it) or less, costs at least its bound.  The block's memo entry keeps the
@@ -65,6 +78,7 @@ very float cost, that growing and then pruning would, but it searches less:
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -97,11 +111,17 @@ class SplitCandidate(NamedTuple):
 
 
 class Presorted(NamedTuple):
-    """A dataset laid out for the index engine; see ``presort``."""
+    """A dataset laid out for the index engine; see ``presort``.
+
+    ``tied`` holds one bool per line: whether two rows share its value.  A
+    block of an untied line has no equal neighbours, so ``split_search``
+    masks cuts only on tied lines.
+    """
 
     columns: np.ndarray  # (n_features, n_rows): line j holds feature j by row id
     labels: np.ndarray  # class index by row id, in the narrowest unsigned type (uint8 up to 256 classes)
     n_classes: int
+    tied: tuple  # one bool per line: do two rows share a value?
 
 
 def presort(data: Dataset) -> tuple[Presorted, np.ndarray]:
@@ -113,18 +133,22 @@ def presort(data: Dataset) -> tuple[Presorted, np.ndarray]:
     block = np.argsort(columns, axis=1, kind="stable").astype(np.min_scalar_type(-data.n_rows))
     # Labels too: a search compares and gathers one byte per row up to 256 classes.
     labels = data.labels.astype(np.min_scalar_type(data.n_classes - 1))
-    return Presorted(columns, labels, data.n_classes), block
+    # One sorted line at a time, so no second (features, rows) array is built.
+    tied = tuple(bool(np.any(line[1:] == line[:-1])) for line in map(np.take, columns, block))
+    return Presorted(columns, labels, data.n_classes, tied), block
 
 
 def partition(rows: Presorted, block: np.ndarray, feature: int, threshold: float):
     """Split a block into (value <= threshold, value > threshold), lines still sorted."""
-    goes_left = rows.columns[feature][block] <= threshold
-    n_lines, n_left = block.shape[0], int(np.count_nonzero(goes_left[0]))
-    return block[goes_left].reshape(n_lines, n_left), block[~goes_left].reshape(n_lines, -1)
+    flat = block.ravel()
+    goes_left = rows.columns[feature].take(flat) <= threshold
+    n_lines, n_left = block.shape[0], int(np.count_nonzero(goes_left[: block.shape[1]]))
+    return flat.compress(goes_left).reshape(n_lines, n_left), flat.compress(~goes_left).reshape(n_lines, -1)
 
 
-def _gini(counts: np.ndarray, n: float) -> float:
-    return 1.0 - float(np.sum((counts / n) ** 2))
+def class_counts(rows: Presorted, block: np.ndarray) -> np.ndarray:
+    """The block's rows per class, from its first line."""
+    return np.bincount(rows.labels.take(block[0]), minlength=rows.n_classes)
 
 
 def _class_sum(term, first: int, n: int):
@@ -167,18 +191,20 @@ def split_search(
     labels, so memory does not grow with the class count and no (features,
     rows, classes) array is built.  Positions between equal values are set
     to ``-inf`` before one row-major argmax over the grid, whose first
-    maximum is the lowest feature, then the lowest threshold.  Every
-    decrease is computed with the operations, in the order, of a
-    per-feature ``np.sum`` over classes, so results are bit-for-bit those of
-    searching each feature on its own.
+    maximum is the lowest feature, then the lowest threshold; a sweep of
+    lines with no tie in the whole dataset skips that mask.  Every decrease
+    is computed with the operations, in the order, of a per-feature
+    ``np.sum`` over classes, so results are bit-for-bit those of searching
+    each feature on its own.
     """
     n_lines, n = block.shape
     if n < 2:
         return None
     if counts is None:
-        counts = np.bincount(rows.labels[block[0]], minlength=rows.n_classes)
+        counts = class_counts(rows, block)
     total = counts.astype(np.float64)
-    parent = _gini(total, n)
+    shares = [c / n for c in total.tolist()]  # squared and summed as np.sum would, without its dispatch
+    parent = 1.0 - _class_sum(lambda c: shares[c] * shares[c], 0, rows.n_classes)
     sizes = np.empty((2, 1, n - 1))  # rows left and right of each position
     sizes[0, 0] = np.arange(1, n)
     np.subtract(n, sizes[0], out=sizes[1])
@@ -197,10 +223,6 @@ def _sweep(
     """The best split among ``lines``, the block's lines from feature ``first``
     on; ``sizes`` holds the rows left and right of each position."""
     n_lines, n = lines.shape
-    # Each line's values, by one take from the flattened columns.
-    stride = rows.columns.shape[1]
-    starts = np.arange(first * stride, (first + n_lines) * stride, stride)
-    values = rows.columns.take(lines + starts[:, None])
     labels = rows.labels.take(lines[:, :-1])  # the last row is left of no position
     taken = np.zeros((n_lines, n - 1))  # rows left of each position in the classes so far
 
@@ -220,12 +242,17 @@ def _sweep(
     gini *= sizes / n
     decrease = np.subtract(parent, gini[0], out=gini[0])
     decrease -= gini[1]
-    decrease[values[:, :-1] == values[:, 1:]] = -np.inf  # no cut between equal values
+    if any(rows.tied[first : first + n_lines]):
+        # Each line's values, by one take from the flattened columns.
+        stride = rows.columns.shape[1]
+        starts = np.arange(first * stride, (first + n_lines) * stride, stride)
+        values = rows.columns.take(lines + starts[:, None])
+        decrease[values[:, :-1] == values[:, 1:]] = -np.inf  # no cut between equal values
     best = int(decrease.argmax())  # first max: lowest feature, then lowest threshold
     j, cut = divmod(best, n - 1)
     if decrease[j, cut] <= 0.0:
         return None
-    lo, hi = values[j, cut], values[j, cut + 1]
+    lo, hi = rows.columns[first + j].take(lines[j, cut : cut + 2])
     threshold = (lo + hi) / 2.0
     if threshold >= hi:  # midpoint rounded up between adjacent floats
         threshold = lo
@@ -279,13 +306,15 @@ def grow_pruned(data: Dataset, config: GrowthConfig, params: LossParams, memo: d
 
 def grow_pruned_block(
     rows: Presorted, block: np.ndarray, config: GrowthConfig, per_node: float, memo: dict, level: int = 0,
-    bound: float = math.inf,
+    bound: float = math.inf, counts: Optional[np.ndarray] = None,
 ) -> Optional[tuple[Tree, float, int, int]]:
     """``grow_pruned`` on a block: the tree, its cost, and the rows it
     misclassifies and its node count, as ints; or None, only when that cost
-    is not below ``bound``."""
+    is not below ``bound``.  ``counts`` are the block's class counts, when
+    the caller has them."""
     p = per_node
-    counts = np.bincount(rows.labels[block[0]], minlength=rows.n_classes)
+    if counts is None:
+        counts = class_counts(rows, block)
     mode = int(counts.argmax())
     misses = block.shape[1] - int(counts[mode])
     leaf_cost = float(misses) + p
@@ -305,22 +334,55 @@ def grow_pruned_block(
     if room <= failed_room and bound <= failed_bound:  # the block costs at least failed_bound
         return None
     left_block, right_block = partition(rows, block, cand.feature, cand.threshold)
-    left_bound = target - p - p
-    while p + left_bound + p < target:  # raised until a left cost at the bound loses
-        left_bound = math.nextafter(left_bound, math.inf)
-    left = grow_pruned_block(rows, left_block, config, p, memo, level + 1, left_bound)
+    left_counts = class_counts(rows, left_block)
+    right_counts = counts - left_counts
+    # The least cost the right side can return: its leaf's, or a split's.
+    sibling = min(float(right_block.shape[1] - int(right_counts.max())) + p, p + p + p)
+    left_bound = _least_bound(target - p - sibling, target, lambda lb: p + lb + sibling >= target)
+    left = grow_pruned_block(rows, left_block, config, p, memo, level + 1, left_bound, left_counts)
     if left is not None:
         left, left_cost, left_misses, left_nodes = left
-        right_bound = target - (p + left_cost)
-        while p + left_cost + right_bound < target:
-            right_bound = math.nextafter(right_bound, math.inf)
-        right = grow_pruned_block(rows, right_block, config, p, memo, level + 1, right_bound)
+        base = p + left_cost
+        right_bound = _least_bound(target - base, target, lambda rb: base + rb >= target)
+        right = grow_pruned_block(rows, right_block, config, p, memo, level + 1, right_bound, right_counts)
         if right is not None:
             right, right_cost, right_misses, right_nodes = right
-            split_cost = p + left_cost + right_cost
+            split_cost = base + right_cost
             if split_cost < target:  # ties go to the leaf
                 tree = Split(cand.feature, cand.threshold, left, right)
                 return tree, split_cost, left_misses + right_misses, 1 + left_nodes + right_nodes
     if leaf is None:
         entry[1:] = room, bound
     return leaf
+
+
+def _least_bound(start: float, target: float, holds) -> float:
+    """The least float from ``start`` up at which ``holds`` is true.
+
+    ``holds`` must be monotone and true at ``target``.  A few ulp steps
+    usually reach it; past them, bisecting over the floats' ordered bit
+    patterns takes at most 64 more calls, where ulp steps could take
+    billions (after cancellation, ``start`` can be tiny next to ``target``).
+    """
+    for _ in range(4):
+        if holds(start):
+            return start
+        start = math.nextafter(start, math.inf)
+    low, high = _ordered(start) - 1, _ordered(target)  # holds fails at low and is true at high
+    while high - low > 1:
+        mid = (low + high) // 2
+        if holds(_from_ordered(mid)):
+            high = mid
+        else:
+            low = mid
+    return _from_ordered(high)
+
+
+def _ordered(x: float) -> int:
+    """An int that orders as ``x`` does among floats, adjacent floats one apart."""
+    bits = struct.unpack("<q", struct.pack("<d", x))[0]
+    return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
+
+
+def _from_ordered(k: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", k if k >= 0 else -k | -(1 << 63)))[0]

@@ -41,13 +41,15 @@ and that is at most ``B`` after its own three roundings.
 
 The data is presorted once per update (``grow.presort``); every node, kept or
 regrown, works on a block of row ids that a stable partition keeps sorted
-by each feature.  Losses are carried up rather than recomputed: a kept leaf
-counts the rows whose label differs from its class, a kept split sums its
-children's counts, an empty side kept verbatim costs only its nodes, and a
-regrown subtree brings its misclassifications and node count from the fused
-pass and counts every one of its nodes as changed.  Totals are formed as
-``loss`` forms them, so the choice at every node is the one ``loss`` would
-make.
+by each feature.  Class counts are handed down: a partition counts its
+left side's first line once, the right side's counts are the node's minus
+those, and a node's regrow starts from its counts.  Losses are carried up
+rather than recomputed: a kept leaf's misses are its rows less its class's
+count, a kept split sums its children's counts, an empty side kept verbatim
+costs only its nodes, and a regrown subtree brings its misclassifications
+and node count from the fused pass and counts every one of its nodes as
+changed.  Totals are formed as ``loss`` forms them, so the choice at every
+node is the one ``loss`` would make.
 
 Crediting a regrow with the nodes it happens to share with the previous
 subtree would never change a choice.  A regrow shares nodes only when its
@@ -63,11 +65,13 @@ or ties, and a regrow that wins shares nothing with ``prev``.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from .data import Dataset
 from .errors import InputShapeError
-from .grow import GrowthConfig, Presorted, grow_pruned, grow_pruned_block, partition, presort
+from .grow import GrowthConfig, Presorted, class_counts, grow_pruned, grow_pruned_block, partition, presort
 from .loss import LossParams, breakdown
 # grow, prune and loss go unused here; perfbench/tracer.py patches them in this module.
 from .grow import grow  # noqa: F401
@@ -98,26 +102,33 @@ def update(prev: Tree, data: Dataset, params: LossParams, growth: GrowthConfig =
 
 
 def _optimize(
-    prev: Tree, rows: Presorted, block: np.ndarray, params: LossParams, growth: GrowthConfig, memo: dict
+    prev: Tree, rows: Presorted, block: np.ndarray, params: LossParams, growth: GrowthConfig, memo: dict,
+    counts: Optional[np.ndarray] = None,
 ):
     """Return (chosen subtree, its loss against ``prev`` on the block's rows).
 
-    ``memo`` is the split memo shared by every regrow of one update.
+    ``memo`` is the split memo shared by every regrow of one update;
+    ``counts`` are the block's class counts, when the caller has them.
     """
+    if counts is None:
+        counts = class_counts(rows, block)
     if isinstance(prev, Leaf):
         keep: Tree = prev
-        misses = int(np.count_nonzero(rows.labels[block[0]] != prev.class_label))
+        n, label = block.shape[1], prev.class_label
+        misses = n - int(counts[label]) if label < rows.n_classes else n
         keep_loss = breakdown(misses, 1, 0, params)
     else:
         kept = []
-        for child, side in zip((prev.left, prev.right), partition(rows, block, prev.feature, prev.threshold)):
+        sides = partition(rows, block, prev.feature, prev.threshold)
+        left_counts = class_counts(rows, sides[0])
+        for child, side, side_counts in zip((prev.left, prev.right), sides, (left_counts, counts - left_counts)):
             if side.shape[1] == 0:
                 # An empty side stays exactly as it was: no rows reach it, so
                 # only the alpha term applies and regrowing (which needs data)
                 # is moot.
                 kept.append((child, breakdown(0, node_count(child), 0, params)))
             else:
-                kept.append(_optimize(child, rows, side, params, growth, memo))
+                kept.append(_optimize(child, rows, side, params, growth, memo, side_counts))
         (left, left_loss), (right, right_loss) = kept
         keep = Split(prev.feature, prev.threshold, left, right)
         keep_loss = breakdown(
@@ -129,7 +140,7 @@ def _optimize(
 
     # A regrow that cannot get under this bound loses to keep or ties it (module docstring).
     bound = (keep_loss.total + 2.0**-1000) * (1.0 + (block.shape[1] + 2) * 2.0**-50)
-    regrow = grow_pruned_block(rows, block, growth, params.alpha + params.beta, memo, bound=bound)
+    regrow = grow_pruned_block(rows, block, growth, params.alpha + params.beta, memo, bound=bound, counts=counts)
     if regrow is None:
         return keep, keep_loss
     regrown, _, misses, nodes = regrow

@@ -167,7 +167,7 @@ def ref_load_csv(path, label_column: Union[int, str], has_header: bool = False) 
     """
     if not os.path.exists(path):
         raise DataLoadError(f"dataset file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         lines = [ln for ln in (line.strip() for line in fh) if ln]
     if not lines:
         raise DataLoadError(f"{path}: file is empty")

@@ -231,6 +231,21 @@ def test_load_csv_matches_line_reference(tmp_path, monkeypatch, chunk_rows):
     assert loaded > 120 and failed > 120 and most_classes > 200
 
 
+@pytest.mark.parametrize(
+    "text, label_column, has_header",
+    [("1.0,2.0,0\n2.0,3.0,1\n", 2, False), ("label,x\n0,1.0\n1,2.0\n", "label", True)],
+)
+def test_load_csv_skips_a_utf8_byte_order_mark(tmp_path, text, label_column, has_header):
+    # Spreadsheet "CSV UTF-8" exports begin with one.
+    plain = write(tmp_path, "plain.csv", text)
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    expected = load_outcome(load_csv, plain, label_column, has_header)
+    assert len(expected) == 6  # loaded
+    assert load_outcome(load_csv, str(marked), label_column, has_header) == expected
+    assert load_outcome(ref_load_csv, str(marked), label_column, has_header) == expected
+
+
 def test_load_csv_numerically_equal_labels_keep_first_seen_order(tmp_path):
     # "1.0" and "1" sort as equals; the first one met comes first, whatever
     # the process's string hashes.

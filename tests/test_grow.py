@@ -8,7 +8,7 @@ import pytest
 
 from conftest import random_dataset, ref_best_split, ref_gini, ref_misclassified, ref_update
 from treekeep import Dataset, GrowthConfig, Leaf, LossParams, Split, best_split, grow, prune, retrain, update
-from treekeep.grow import _class_sum, grow_pruned, grow_pruned_block, partition, presort, split_search
+from treekeep.grow import _class_sum, _least_bound, grow_pruned, grow_pruned_block, partition, presort, split_search
 from treekeep.prune import _prune
 from treekeep.tree import depth, node_count
 
@@ -131,6 +131,21 @@ def test_split_search_equals_per_feature_reference(monkeypatch, lines_per_sweep)
                 assert bits(split_search(rows, side)) == bits(ref_best_split(data.subset(ids)))
                 searched += 1
     assert searched > 400
+
+
+def test_presort_flags_the_tied_lines():
+    rng = np.random.default_rng(39)
+    seen = set()
+    for case in range(200):
+        data = search_case(rng, case)
+        if rng.random() < 0.2:  # -0.0 and 0.0 are equal values
+            data = Dataset(np.where(data.features < 0, -0.0, 0.0), data.labels, data.n_classes)
+        rows, _ = presort(data)
+        shared = [len(set(data.features[:, j].tolist())) < data.n_rows for j in range(data.n_features)]
+        assert rows.tied == tuple(shared)
+        seen.update(shared)
+    assert seen == {False, True}
+    assert presort(Dataset(np.zeros((3, 0)), np.array([0, 1, 0]), 2))[0].tied == (True,)
 
 
 def test_split_search_memory_does_not_grow_with_the_class_count():
@@ -287,7 +302,35 @@ def test_grow_pruned_bound_cuts_searches(monkeypatch):
     assert (tree, cost) == grown_then_pruned(data, None, 1.0)
     # Pinned: without the bound the fused pass makes 112 searches here, and
     # growing then pruning 243.
-    assert fused == 72 < len(searched)
+    assert fused == 67 < len(searched)
+
+
+def test_least_bound_bisects_past_a_cancelled_start():
+    # The left bound's start, target - p - LB(right), cancels to 1.23e-14
+    # against a target near 1e-3: the least bound lies about 8.6e9 ulps of
+    # the start above it, out of reach of ulp steps.
+    p = 0.00023639642732699333
+    sibling = p + p + p
+    target = p + sibling + 1.23e-14
+    start = target - p - sibling
+    calls = []
+
+    def holds(lb):
+        calls.append(lb)
+        return p + lb + sibling >= target
+
+    bound = _least_bound(start, target, holds)
+    assert len(calls) <= 70
+    assert holds(bound) and not holds(math.nextafter(bound, -math.inf))
+    assert (bound - start) / math.ulp(start) > 1e9
+    # Starts that already hold, or hold a few ulps up, need no bisection.
+    assert _least_bound(bound, target, holds) == bound
+    near = math.nextafter(math.nextafter(bound, 0.0), 0.0)
+    assert _least_bound(near, target, holds) == bound
+    # Across zero and from below it.
+    assert _least_bound(-1.0, 0.0, lambda x: x >= 0.0) == 0.0
+    assert _least_bound(-1.0, 1.0, lambda x: x > 0.0) == 5e-324
+    assert _least_bound(-1.0, 1.0, lambda x: x >= -0.5) == -0.5
 
 
 def test_grow_pruned_node_price_rounding_to_inf():
@@ -348,7 +391,7 @@ def test_update_carried_bounds_cut_partitions(monkeypatch):
     assert out == ref_update(prev, data, params)
     # Pinned: with neither the lower-bound memo nor the keep bound, the
     # regrows of this update partition 116 blocks.
-    assert len(partitioned) == 56
+    assert len(partitioned) == 52
 
 
 # Six rows that one split cannot separate and two levels can: the block

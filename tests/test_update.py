@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import itertools
 
 import numpy as np
@@ -203,6 +204,37 @@ def assert_matches_oracle(prev, data, params, growth=GrowthConfig()):
     tree, carried = UPDATE_MODULE._optimize(prev, *presort(data), params, growth, {})
     assert tree == out
     assert carried == loss(prev, out, data, params)
+
+
+def test_every_block_gets_its_own_class_counts(monkeypatch):
+    # Counts are handed down a partition (the right side's are the parent's
+    # minus the left's), never taken again: each must be the block's own.
+    checked = []
+
+    def checking(fn):
+        signature = inspect.signature(fn)
+
+        def wrapper(*args, **kwargs):
+            call = signature.bind(*args, **kwargs).arguments
+            if call.get("counts") is not None:
+                rows, block = call["rows"], call["block"]
+                assert np.array_equal(call["counts"], np.bincount(rows.labels[block[0]], minlength=rows.n_classes))
+                checked.append(fn)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    optimize, block_call = UPDATE_MODULE._optimize, GROW_MODULE.grow_pruned_block
+    monkeypatch.setattr(UPDATE_MODULE, "_optimize", checking(optimize))
+    monkeypatch.setattr(GROW_MODULE, "grow_pruned_block", checking(block_call))
+    monkeypatch.setattr(UPDATE_MODULE, "grow_pruned_block", GROW_MODULE.grow_pruned_block)
+    rng = np.random.default_rng(59)
+    for _ in range(60):
+        data = random_dataset(rng, n_classes=int(rng.integers(2, 4)))
+        params = LossParams(float(rng.choice([0.0, 0.1, 1.0])), float(rng.choice([0.0, 0.5, 1.0])))
+        update(random_prev(rng, data), data, params)
+        grow_pruned(data, GrowthConfig(), params, {})
+    assert checked.count(optimize) > 100 and checked.count(block_call) > 1000
 
 
 def test_update_equals_grow_then_prune_oracle():
