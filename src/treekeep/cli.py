@@ -138,7 +138,7 @@ def cmd_diff(args) -> int:
 
 def cmd_eval(args) -> int:
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
+        with open(args.config, "r", encoding="utf-8-sig") as fh:
             obj = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {args.config}") from None

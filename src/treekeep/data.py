@@ -135,21 +135,34 @@ def _split_chunk(lines: list[str]) -> list[list[str]]:
     return [_split_line(line) for line in lines]
 
 
+def _quote_free_columns(lines: list[str], n_cols: int):
+    """The chunk's columns from one ``str.split``, or None unless every line
+    has ``n_cols - 1`` commas and no quote: the csv reader would split such
+    lines at every comma too."""
+    text = ",".join(lines)
+    if n_cols < 2 or '"' in text or any(line.count(",") != n_cols - 1 for line in lines):
+        return None
+    cells = text.split(",")
+    return [cells[col::n_cols] for col in range(n_cols)]
+
+
 def _parse_chunk(lines, n_cols, label_idx, out):
     """Parse a chunk into ``out`` one column at a time and return its label
     cells; return None if a row is faulty or the reader fails on the chunk
     (``out`` is then partly written)."""
-    try:
-        rows = _split_chunk(lines)
-    except csv.Error:
-        return None
-    if any(len(cells) != n_cols for cells in rows):
-        return None
-    columns = list(zip(*rows))
+    columns = _quote_free_columns(lines, n_cols)
+    if columns is None:
+        try:
+            rows = _split_chunk(lines)
+        except csv.Error:
+            return None
+        if any(len(cells) != n_cols for cells in rows):
+            return None
+        columns = list(zip(*rows))
     feature_columns = (col for col in range(n_cols) if col != label_idx)
     try:
         for j, col in enumerate(feature_columns):
-            out[:, j] = np.fromiter(map(float, columns[col]), np.float64, len(rows))
+            out[:, j] = np.fromiter(map(float, columns[col]), np.float64, len(lines))
     except ValueError:
         return None
     if not np.isfinite(out).all():
@@ -463,7 +476,7 @@ class DatasetManifest:
 
 def load_manifest(path) -> DatasetManifest:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             obj = json.load(fh)
     except FileNotFoundError:
         raise DataLoadError(f"manifest not found: {path}") from None

@@ -125,17 +125,30 @@ class Presorted(NamedTuple):
 
 
 def presort(data: Dataset) -> tuple[Presorted, np.ndarray]:
-    """Sort every feature once; return the layout and the block of all rows."""
+    """Sort every feature once; return the layout and the block of all rows.
+
+    Equal values keep row order, as a stable sort leaves them."""
     columns = np.ascontiguousarray(data.features.T)
     if columns.shape[0] == 0:  # one constant line lists the rows and never splits
         columns = np.zeros((1, data.n_rows))
+    n = columns.shape[1]
+    block = np.argsort(columns, axis=1)  # not stable: equal values come in any order
+    tied = []
+    # One sorted line at a time, so no second (features, rows) array is built.
+    for line, order in zip(columns, block):
+        values = line.take(order)
+        ties = values[1:] == values[:-1]
+        tied.append(bool(ties.any()))
+        if tied[-1]:
+            # Keys (value rank, row id) are distinct, so they sort into the stable order.
+            rank = np.zeros(n, dtype=np.int64)
+            np.cumsum(~ties, out=rank[1:])
+            order[:] = np.sort(rank * n + order) % n
     # Row ids in the narrowest type that holds them: blocks take less memory.
-    block = np.argsort(columns, axis=1, kind="stable").astype(np.min_scalar_type(-data.n_rows))
+    block = block.astype(np.min_scalar_type(-data.n_rows))
     # Labels too: a search compares and gathers one byte per row up to 256 classes.
     labels = data.labels.astype(np.min_scalar_type(data.n_classes - 1))
-    # One sorted line at a time, so no second (features, rows) array is built.
-    tied = tuple(bool(np.any(line[1:] == line[:-1])) for line in map(np.take, columns, block))
-    return Presorted(columns, labels, data.n_classes, tied), block
+    return Presorted(columns, labels, data.n_classes, tuple(tied)), block
 
 
 def partition(rows: Presorted, block: np.ndarray, feature: int, threshold: float):

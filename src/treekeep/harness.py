@@ -21,6 +21,8 @@ import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import __version__
 from .data import (
     Dataset,
@@ -36,7 +38,7 @@ from .data import (
 from .diff import structural_diff
 from .errors import ConfigError
 from .grow import GrowthConfig
-from .loss import LossParams, misclassification_count
+from .loss import LossParams, repredict
 from .tree import Tree, node_count, save_tree
 from .update import keep_original, retrain, update
 
@@ -162,18 +164,21 @@ def _run_single(
     test = plan.test
     records = []
     prev: Optional[Tree] = None
+    pred = None  # prev's class for every test row
     for t in range(n_steps):
         train = plan.cumulative(t)
         started = time.perf_counter()
         tree = _train_step(config.algorithm, t, prev, train, config.growth)
         elapsed_ms = (time.perf_counter() - started) * 1000.0
-        accuracy = None
-        if test.n_rows:
-            accuracy = 1.0 - misclassification_count(tree, test) / test.n_rows
-        delta = sim = None
+        delta = sim = report = None
         if t > 0:
             report = structural_diff(prev, tree)
             delta, sim = report.delta, report.similarity
+        accuracy = None
+        if test.n_rows:
+            # Rows that reach no changed node keep the previous tree's class.
+            pred = repredict(tree, test.features, pred, report)
+            accuracy = 1.0 - int(np.sum(pred != test.labels)) / test.n_rows
         record = RunRecord(
             dataset=config.dataset_name,
             algorithm=config.algorithm.name,

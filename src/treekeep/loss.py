@@ -18,12 +18,15 @@ from typing import Optional
 import numpy as np
 
 from .data import Dataset
-from .tree import Leaf, Split, Tree, node_count, predict
+from .diff import DiffReport
+from .errors import InputShapeError
+from .tree import Leaf, Split, Tree, _feature_matrix, _predict_into, node_count, predict
 
 __all__ = [
     "LossParams",
     "LossBreakdown",
     "misclassification_count",
+    "repredict",
     "change_count",
     "loss",
 ]
@@ -55,6 +58,45 @@ def misclassification_count(tree: Tree, data: Dataset) -> int:
     if data.n_rows == 0:
         return 0
     return int(np.sum(predict(tree, data.features) != data.labels))
+
+
+def repredict(
+    new: Tree, features, pred: Optional[np.ndarray] = None, report: Optional[DiffReport] = None
+) -> np.ndarray:
+    """The class of every row of ``features`` under ``new``, as ``predict`` gives it.
+
+    Given ``pred``, the classes under the previous tree, and ``report``, that
+    tree's ``structural_diff`` against ``new``, only the rows that reach a
+    topmost changed node (a changed root, or a changed node with a kept
+    parent) are predicted again.  By ``change_count``'s rules a kept node and
+    every split above it are the previous tree's, so every other row keeps
+    its class.  ``pred`` is never written to; it is returned as it is when
+    no node changed.
+    """
+    if pred is None:
+        return predict(new, features)
+    features = _feature_matrix(new, features)
+    if len(pred) != features.shape[0]:
+        raise InputShapeError(f"{len(pred)} predictions for {features.shape[0]} rows")
+    kept = {e.path for e in report.entries if e.status == "kept"}
+    tops = {e.path for e in report.entries if e.status == "changed" and (not e.path or e.path[:-1] in kept)}
+    if not tops:
+        return pred
+    # The topmost changed nodes and the kept splits on the way to them.
+    toward = {path[:i] for path in tops for i in range(len(path) + 1)}
+    out = pred.copy()
+    stack = [(new, "", np.arange(features.shape[0]))]
+    while stack:
+        node, path, idx = stack.pop()
+        if path in tops:
+            _predict_into(node, features, idx, out)
+            continue
+        goes_left = features[idx, node.feature] <= node.threshold
+        if path + "L" in toward:
+            stack.append((node.left, path + "L", idx[goes_left]))
+        if path + "R" in toward:
+            stack.append((node.right, path + "R", idx[~goes_left]))
+    return out
 
 
 def change_count(prev: Optional[Tree], new: Tree) -> int:

@@ -75,14 +75,20 @@ def max_feature(tree: Tree) -> int:
     return max((node.feature for _, node in iter_nodes(tree) if isinstance(node, Split)), default=-1)
 
 
-def predict(tree: Tree, features: np.ndarray) -> np.ndarray:
-    """Class label of every row of a feature matrix; equal-to-threshold goes left."""
+def _feature_matrix(tree: Tree, features) -> np.ndarray:
+    """``features`` as a float matrix with every column ``tree`` splits on."""
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
         raise InputShapeError(f"expected a 2-D feature matrix, got shape {features.shape}")
     top = max_feature(tree)
     if top >= features.shape[1]:
         raise InputShapeError(f"tree splits on feature {top} but data has {features.shape[1]} columns")
+    return features
+
+
+def predict(tree: Tree, features: np.ndarray) -> np.ndarray:
+    """Class label of every row of a feature matrix; equal-to-threshold goes left."""
+    features = _feature_matrix(tree, features)
     out = np.empty(features.shape[0], dtype=np.int64)
     _predict_into(tree, features, np.arange(features.shape[0]), out)
     return out
@@ -213,7 +219,7 @@ def save_tree(tree: Tree, path) -> None:
 
 
 def load_tree(path) -> Tree:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return deserialize(fh.read())
 
 

@@ -217,6 +217,16 @@ def test_eval_writes_results(tmp_path, capsys):
     assert (out_dir / "manifest.json").exists()
 
 
+def test_eval_config_may_begin_with_a_utf8_byte_order_mark(tmp_path):
+    cfg = eval_config(tmp_path, n_runs=1)
+    marked = tmp_path / "marked.json"
+    marked.write_bytes(b"\xef\xbb\xbf" + open(cfg, "rb").read())
+    out_plain, out_marked = tmp_path / "plain", tmp_path / "marked"
+    assert main(["eval", "--config", cfg, "--out-dir", str(out_plain)]) == 0
+    assert main(["eval", "--config", str(marked), "--out-dir", str(out_marked)]) == 0
+    assert (out_marked / "results.csv").read_bytes() == (out_plain / "results.csv").read_bytes()
+
+
 def test_eval_flag_overrides_config(tmp_path):
     cfg = eval_config(tmp_path)
     out_dir = tmp_path / "out"

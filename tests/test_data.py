@@ -231,6 +231,38 @@ def test_load_csv_matches_line_reference(tmp_path, monkeypatch, chunk_rows):
     assert loaded > 120 and failed > 120 and most_classes > 200
 
 
+# Quote-free lines, then quoted ones, then quote-free ones again.
+MIXED_LINES = ["1,2,a", " 3,4 , b", "5,-0.0,a", '6,7,"b"', '8,9,"c,d"', "10,11,a", "12,13,b"]
+
+
+@pytest.mark.parametrize("chunk_rows", [2, 3, 4])
+@pytest.mark.parametrize(
+    "changed, loads",
+    [
+        ((), True),
+        (("14 15 a",), True),
+        (('14,15,a"',), True),
+        (("14,15,a,",), False),
+        (("14,x,a",), False),
+        (("14,15",), False),
+        (("14,15,16,1", "17,2"), False),  # as many commas as two good lines
+    ],
+    ids=["as-is", "whitespace", "stray-quote", "extra-comma", "not-a-number", "one-comma-short", "commas-offset"],
+)
+def test_load_csv_mixes_quoted_and_quote_free_chunks(tmp_path, monkeypatch, chunk_rows, changed, loads):
+    # Chunk edges fall between the quote-free and the quoted lines; lines are
+    # changed in turn, so that a quote-free chunk gets lines the csv reader
+    # must split, or faulty ones.
+    monkeypatch.setattr(DATA_MODULE, "CHUNK_ROWS", chunk_rows)
+    for at in range(len(MIXED_LINES) - len(changed) + 1):
+        lines = list(MIXED_LINES)
+        lines[at : at + len(changed)] = changed
+        path = write(tmp_path, "d.csv", "\n".join(lines) + "\n")
+        expected = load_outcome(ref_load_csv, path, 2, False)
+        assert load_outcome(load_csv, path, 2, False) == expected, lines
+        assert len(expected) == (6 if loads else 2)
+
+
 @pytest.mark.parametrize(
     "text, label_column, has_header",
     [("1.0,2.0,0\n2.0,3.0,1\n", 2, False), ("label,x\n0,1.0\n1,2.0\n", "label", True)],
@@ -431,6 +463,16 @@ def test_manifest_roundtrip(tmp_path):
     assert manifest.is_present()
     data = dataset_from_manifest(manifest)
     assert data.n_rows == 2
+
+
+def test_manifest_skips_a_utf8_byte_order_mark(tmp_path):
+    write(tmp_path, "mini.csv", "1,0\n2,1\n")
+    path = tmp_path / "mini.json"
+    document = '{"name": "mini", "url": "https://example.org/mini", "file": "mini.csv", "label_column": 1}'
+    path.write_bytes(b"\xef\xbb\xbf" + document.encode("utf-8"))
+    manifest = load_manifest(str(path))
+    assert (manifest.name, manifest.label_column) == ("mini", 1)
+    assert dataset_from_manifest(manifest).n_rows == 2
 
 
 def test_manifest_missing_data_file(tmp_path):

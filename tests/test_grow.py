@@ -148,6 +148,20 @@ def test_presort_flags_the_tied_lines():
     assert presort(Dataset(np.zeros((3, 0)), np.array([0, 1, 0]), 2))[0].tied == (True,)
 
 
+def test_presort_block_is_the_stable_argsort():
+    rng = np.random.default_rng(41)
+    cases = [rng.random((3000, 2)), rng.integers(0, 8, (3000, 3)).astype(np.float64), rng.random((1, 3))]
+    cases.append(np.where(rng.random((2000, 2)) < 0.5, -0.0, 0.0))  # -0.0 and 0.0 are equal values
+    cases += [rng.integers(0, 256, (int(rng.integers(1, 300)), 2)).astype(np.float64) for _ in range(20)]
+    unstable = 0
+    for features in cases:
+        data = Dataset(features, rng.integers(0, 2, features.shape[0]), 2)
+        stable = np.argsort(features.T, axis=1, kind="stable")
+        assert np.array_equal(presort(data)[1], stable)
+        unstable += not np.array_equal(np.argsort(features.T, axis=1), stable)
+    assert unstable >= 2  # numpy's default sort did reorder equal values
+
+
 def test_split_search_memory_does_not_grow_with_the_class_count():
     # One (side, line, position) array per class: about 5 MB here.  A class
     # axis on that array, (side, class, line, position), would take 96 MB.

@@ -1,15 +1,18 @@
+import importlib
 import json
 import re
 
 import pytest
 
 from treekeep import (
+    Leaf,
     accuracy_ci_halfwidth,
     load_tree,
+    misclassification_count,
     structural_diff,
     summarize,
 )
-from treekeep.data import Rectangle, SyntheticSpec, synthetic
+from treekeep.data import Rectangle, SyntheticSpec, make_batch_plan, synthetic
 from treekeep.errors import ConfigError
 from treekeep.grow import GrowthConfig
 from treekeep.harness import (
@@ -23,6 +26,8 @@ from treekeep.harness import (
     sweep,
     write_results,
 )
+
+HARNESS_MODULE = importlib.import_module("treekeep.harness")
 
 POOL = synthetic(
     SyntheticSpec(
@@ -202,6 +207,56 @@ def test_run_eval_artifacts_and_rederivable_records(tmp_path):
         new = load_tree(out / "trees" / archive_name(r))
         report = structural_diff(prev, new)
         assert (report.delta, report.similarity) == (r.delta, r.similarity)
+
+
+@pytest.mark.parametrize("algorithm", ["keep_regrow", "retrain"])
+def test_run_eval_predicts_again_only_under_changed_nodes(tmp_path, monkeypatch, algorithm):
+    # Test rows that reach a leaf, per batch, in the order the batches run;
+    # the updates' predictions on their training data are not counted.
+    rows_at_leaves = []
+    scoring = []  # set while the harness predicts its test rows
+    predict_into = importlib.import_module("treekeep.tree")._predict_into
+    repredict = HARNESS_MODULE.repredict
+
+    def counted_predict_into(node, features, idx, out):
+        if scoring and isinstance(node, Leaf):
+            rows_at_leaves[-1] += idx.size
+        predict_into(node, features, idx, out)
+
+    def flagged_repredict(*args):
+        scoring.append(True)
+        try:
+            return repredict(*args)
+        finally:
+            scoring.pop()
+
+    for module in ("treekeep.tree", "treekeep.loss"):
+        monkeypatch.setattr(importlib.import_module(module), "_predict_into", counted_predict_into)
+    monkeypatch.setattr(HARNESS_MODULE, "repredict", flagged_repredict)
+    train_step = HARNESS_MODULE._train_step
+
+    def counted_train_step(*args):
+        rows_at_leaves.append(0)
+        return train_step(*args)
+
+    monkeypatch.setattr(HARNESS_MODULE, "_train_step", counted_train_step)
+    config = make_config(algorithm, alpha=0.5, n_runs=3, n_batches=5, batch_size=40, test_size=100)
+    out = tmp_path / "exp"
+    records = run_eval(config, out)
+    assert len(rows_at_leaves) == len(records)
+    unchanged = 0
+    for r, rows in zip(records, rows_at_leaves):
+        if r.batch == 0:
+            assert rows == config.test_size
+        elif r.delta == 0:
+            assert rows == 0
+            unchanged += 1
+        else:
+            assert rows <= config.test_size
+        test = make_batch_plan(POOL, config.n_batches, config.batch_size, config.test_size, (config.seed, r.run)).test
+        tree = load_tree(out / "trees" / archive_name(r))
+        assert r.accuracy == 1.0 - misclassification_count(tree, test) / test.n_rows
+    assert unchanged >= 4 and any(r.delta for r in records)
 
 
 def test_config_from_dict_synthetic_and_sweep():

@@ -10,9 +10,13 @@ from treekeep import (
     change_count,
     loss,
     misclassification_count,
+    node_at,
     node_count,
+    predict,
+    structural_diff,
 )
 from treekeep.errors import InputShapeError
+from treekeep.loss import repredict
 
 STUMP = Split(0, 2.5, Leaf(0), Leaf(1))
 XDATA = np.array([[1.0], [2.0], [3.0], [4.0]])
@@ -168,3 +172,54 @@ def test_loss_decomposes_over_partitions():
         beta = float(rng.choice([0.0, 0.5, 1.0]))
         flat = loss(prev, new, data, LossParams(alpha, beta)).total
         assert flat == recursive_loss(prev, new, data, alpha, beta)
+
+
+def topmost_change(prev, new, path):
+    """How the node at a topmost changed path differs from the previous one."""
+    if not path:
+        return "root"
+    if len(path) >= 2:
+        return "deep"
+    old, now = node_at(prev, path), node_at(new, path)
+    if isinstance(old, Leaf) != isinstance(now, Leaf):
+        return "leaf/split swap"
+    if isinstance(now, Split) and old.feature == now.feature:
+        return "threshold moved"
+    return "other"
+
+
+def test_repredict_matches_predict():
+    rng = np.random.default_rng(51)
+    seen = set()
+    for case in range(400):
+        prev = random_tree(rng, max_depth=4)
+        new = prev if case % 8 == 0 else mutate_tree(rng, prev)
+        # Half-integer values land on the grid's thresholds; every 10th set is empty.
+        n_rows = 0 if case % 10 == 0 else int(rng.integers(1, 120))
+        features = rng.integers(0, 17, size=(n_rows, 4)) / 2.0
+        pred = predict(prev, features)
+        before = pred.copy()
+        report = structural_diff(prev, new)
+        got = repredict(new, features, pred, report)
+        assert np.array_equal(got, predict(new, features))
+        assert np.array_equal(pred, before)  # never written to
+        kept = {e.path for e in report.entries if e.status == "kept"}
+        tops = [e.path for e in report.entries if e.status == "changed" and (not e.path or e.path[:-1] in kept)]
+        if not tops:
+            assert got is pred
+            seen.add("identical")
+        seen.update(topmost_change(prev, new, path) for path in tops)
+        seen.add("empty" if n_rows == 0 else "rows")
+    assert {"identical", "root", "deep", "leaf/split swap", "threshold moved", "empty"} <= seen
+
+
+def test_repredict_checks_its_input():
+    pred = predict(STUMP, XDATA)
+    report = structural_diff(STUMP, STUMP)
+    wide = Split(1, 0.0, Leaf(0), Leaf(1))
+    with pytest.raises(InputShapeError):  # even when no node changed
+        repredict(wide, XDATA, pred, structural_diff(wide, wide))
+    with pytest.raises(InputShapeError):
+        repredict(STUMP, XDATA[:, 0], pred, report)
+    with pytest.raises(InputShapeError):
+        repredict(STUMP, XDATA, pred[:-1], report)

@@ -7,6 +7,7 @@ from treekeep import (
     Split,
     depth,
     deserialize,
+    load_tree,
     node_at,
     node_count,
     predict,
@@ -109,6 +110,13 @@ def test_roundtrip_random_trees():
     for _ in range(50):
         t = random_tree(rng, max_depth=4)
         assert deserialize(serialize(t)) == t
+
+
+def test_load_tree_skips_a_utf8_byte_order_mark(tmp_path):
+    # Editors on Windows may save JSON with one.
+    path = tmp_path / "tree.json"
+    path.write_bytes(b"\xef\xbb\xbf" + serialize(STUMP).encode("utf-8"))
+    assert load_tree(path) == STUMP
 
 
 def test_deserialize_rejects_nan_threshold_string():
