@@ -120,19 +120,20 @@ def _nonblank(fh):
 
 def _split_line(line: str) -> list[str]:
     """Lines with a comma are CSV (with quotes); others split on whitespace."""
-    if "," in line:
-        return next(csv.reader([line]))
-    return line.split()
+    if "," not in line:
+        return line.split()
+    if '"' not in line:  # as the csv reader splits it, without its field size limit
+        return line.split(",")
+    return next(csv.reader([line]))
 
 
-def _split_chunk(lines: list[str]) -> list[list[str]]:
-    """The cells of each line, as ``_split_line`` splits them."""
-    if all("," in line for line in lines):
-        rows = list(csv.reader(lines))
-        # One reader joins a line with an unterminated quote to the next one.
-        if len(rows) == len(lines):
-            return rows
-    return [_split_line(line) for line in lines]
+def _row_cells(path, row_no: int, line: str) -> list[str]:
+    """``_split_line``, with a line the csv reader rejects (a cell over
+    ``csv.field_size_limit()``, say) reported by its row number."""
+    try:
+        return _split_line(line)
+    except csv.Error as exc:
+        raise DataLoadError(f"{path}, row {row_no}: {exc}") from None
 
 
 def _quote_free_columns(lines: list[str], n_cols: int):
@@ -148,12 +149,12 @@ def _quote_free_columns(lines: list[str], n_cols: int):
 
 def _parse_chunk(lines, n_cols, label_idx, out):
     """Parse a chunk into ``out`` one column at a time and return its label
-    cells; return None if a row is faulty or the reader fails on the chunk
+    cells; return None if a row is faulty or the csv reader fails on a line
     (``out`` is then partly written)."""
     columns = _quote_free_columns(lines, n_cols)
     if columns is None:
         try:
-            rows = _split_chunk(lines)
+            rows = [_split_line(line) for line in lines]
         except csv.Error:
             return None
         if any(len(cells) != n_cols for cells in rows):
@@ -176,7 +177,7 @@ def _parse_chunk_by_cell(path, lines, first_row, n_cols, label_idx, out):
     labels = []
     for i, line in enumerate(lines):
         row_no = first_row + i
-        cells = _split_line(line)
+        cells = _row_cells(path, row_no, line)
         if len(cells) != n_cols:
             raise DataLoadError(f"{path}, row {row_no}: expected {n_cols} cells, got {len(cells)}")
         j = 0
@@ -227,12 +228,13 @@ def load_csv(path, label_column: Union[int, str], has_header: bool = False) -> D
         lines = itertools.islice(_nonblank(fh), n_lines)
         header = None
         if has_header:
-            header = [cell.strip() for cell in _split_line(next(lines))]
+            header = [cell.strip() for cell in _row_cells(path, 1, next(lines))]
             if n_lines == 1:
                 raise DataLoadError(f"{path}: no data rows after the header")
         chunk = list(itertools.islice(lines, CHUNK_ROWS))
 
-        n_cols = len(_split_line(chunk[0]))
+        first_row = 1 if header is None else 2
+        n_cols = len(_row_cells(path, first_row, chunk[0]))
         if header is not None and len(header) != n_cols:
             raise DataLoadError(f"{path}: header has {len(header)} columns but row 2 has {n_cols}")
         if isinstance(label_column, str):
@@ -247,7 +249,6 @@ def load_csv(path, label_column: Union[int, str], has_header: bool = False) -> D
         if not 0 <= label_idx < n_cols:
             raise DataLoadError(f"{path}: label column {label_column} out of range for {n_cols} columns")
 
-        first_row = 1 if header is None else 2
         n_rows = n_lines - first_row + 1
         features = np.empty((n_rows, n_cols - 1), dtype=np.float64)
         # Class ids in first-seen order; sorted by label name below.

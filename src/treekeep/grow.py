@@ -7,8 +7,11 @@ and then the lowest threshold, so growing is fully deterministic.
 Split searches run on an index engine, as in CART's presort.  ``presort``
 sorts every feature column of a dataset once.  The rows that reach a node
 are then a block: an ``(n_features, n_rows)`` array of row ids whose line
-``j`` lists the node's rows in order of feature ``j``.  ``partition`` splits
-a block with one boolean mask over the flattened block; the filter is
+``j`` lists the node's rows in order of feature ``j``.  A block always
+travels with its class counts.  ``presort`` counts the whole dataset once,
+and below the root only ``partition`` counts: it splits a block with one
+boolean mask over the flattened block, counts the left side's first line,
+and hands the right side the parent's counts minus those.  The filter is
 stable, so every line of both sides stays sorted, and no node sorts or
 copies features.  ``split_search`` scores the candidates of many features
 in one vectorised sweep, with the arithmetic of a per-feature search;
@@ -22,11 +25,9 @@ equal neighbours in a block, so a sweep of tie-free lines skips the mask
 and does not gather their values.
 
 ``grow_pruned`` fuses ``grow`` with ``prune.prune`` into one recursion over
-blocks for ``update`` and ``retrain``.  Class counts are handed down it: a
-partition counts the left side's first line once, the right side's counts
-are the parent's minus those, and each child's call takes its counts.  It
-returns the very tree, and the very float cost, that growing and then
-pruning would, but it searches less:
+blocks for ``update`` and ``retrain``; each call takes its block's counts
+from the partition that made it.  It returns the very tree, and the very
+float cost, that growing and then pruning would, but it searches less:
 
 * Exact early stop: a node whose majority class misclassifies ``m`` rows
   with ``m <= 2p`` (``p`` the price of a node) becomes a leaf without a
@@ -124,8 +125,9 @@ class Presorted(NamedTuple):
     tied: tuple  # one bool per line: do two rows share a value?
 
 
-def presort(data: Dataset) -> tuple[Presorted, np.ndarray]:
-    """Sort every feature once; return the layout and the block of all rows.
+def presort(data: Dataset) -> tuple[Presorted, np.ndarray, np.ndarray]:
+    """Sort every feature once; return the layout, the block of all rows and
+    its class counts.
 
     Equal values keep row order, as a stable sort leaves them."""
     columns = np.ascontiguousarray(data.features.T)
@@ -148,20 +150,21 @@ def presort(data: Dataset) -> tuple[Presorted, np.ndarray]:
     block = block.astype(np.min_scalar_type(-data.n_rows))
     # Labels too: a search compares and gathers one byte per row up to 256 classes.
     labels = data.labels.astype(np.min_scalar_type(data.n_classes - 1))
-    return Presorted(columns, labels, data.n_classes, tuple(tied)), block
+    counts = np.bincount(data.labels, minlength=data.n_classes)
+    return Presorted(columns, labels, data.n_classes, tuple(tied)), block, counts
 
 
-def partition(rows: Presorted, block: np.ndarray, feature: int, threshold: float):
-    """Split a block into (value <= threshold, value > threshold), lines still sorted."""
+def partition(rows: Presorted, block: np.ndarray, counts: np.ndarray, feature: int, threshold: float):
+    """Split a block with its class counts into ``(left, left_counts), (right,
+    right_counts)``: value <= threshold, then value > threshold, lines still
+    sorted.  The left side's first line is counted once; the right side gets
+    the rest of ``counts``."""
     flat = block.ravel()
     goes_left = rows.columns[feature].take(flat) <= threshold
     n_lines, n_left = block.shape[0], int(np.count_nonzero(goes_left[: block.shape[1]]))
-    return flat.compress(goes_left).reshape(n_lines, n_left), flat.compress(~goes_left).reshape(n_lines, -1)
-
-
-def class_counts(rows: Presorted, block: np.ndarray) -> np.ndarray:
-    """The block's rows per class, from its first line."""
-    return np.bincount(rows.labels.take(block[0]), minlength=rows.n_classes)
+    left = flat.compress(goes_left).reshape(n_lines, n_left)
+    left_counts = np.bincount(rows.labels.take(left[0]), minlength=rows.n_classes)
+    return (left, left_counts), (flat.compress(~goes_left).reshape(n_lines, -1), counts - left_counts)
 
 
 def _class_sum(term, first: int, n: int):
@@ -192,12 +195,10 @@ def _class_sum(term, first: int, n: int):
 SWEEP_SIZE = 1 << 14
 
 
-def split_search(
-    rows: Presorted, block: np.ndarray, counts: Optional[np.ndarray] = None
-) -> Optional[SplitCandidate]:
+def split_search(rows: Presorted, block: np.ndarray, counts: np.ndarray) -> Optional[SplitCandidate]:
     """Best Gini split of a block's rows over all features, or None if nothing strictly helps.
 
-    ``counts`` are the block's class counts, when the caller has them.
+    ``counts`` are the block's class counts, which give the parent's Gini.
     Lines are scored together, as many per sweep as ``SWEEP_SIZE`` allows,
     at every position of their grid: the cut after each row but the last.
     Cumulative class counts are taken one class at a time from the narrow
@@ -213,8 +214,6 @@ def split_search(
     n_lines, n = block.shape
     if n < 2:
         return None
-    if counts is None:
-        counts = class_counts(rows, block)
     total = counts.astype(np.float64)
     shares = [c / n for c in total.tolist()]  # squared and summed as np.sum would, without its dispatch
     parent = 1.0 - _class_sum(lambda c: shares[c] * shares[c], 0, rows.n_classes)
@@ -305,29 +304,26 @@ def _grow(data: Dataset, config: GrowthConfig, level: int) -> Tree:
     )
 
 
-def grow_pruned(data: Dataset, config: GrowthConfig, params: LossParams, memo: dict) -> tuple[Tree, float]:
+def grow_pruned(data: Dataset, config: GrowthConfig, params: LossParams) -> tuple[Tree, float]:
     """``prune(grow(data, config), data, params)`` and its cost, in one pass.
 
     The cost is misclassifications + (alpha + beta) per node, summed exactly
-    as ``prune`` sums it.  ``memo`` maps blocks of ``data``'s row ids to
-    their split search and failures; calls on the same data and ``params``
-    may share one.
+    as ``prune`` sums it.  The pass has a split memo of its own.
     """
-    tree, cost, _, _ = grow_pruned_block(*presort(data), config, params.alpha + params.beta, memo)
+    tree, cost, _, _ = grow_pruned_block(*presort(data), config, params.alpha + params.beta, {})
     return tree, cost
 
 
 def grow_pruned_block(
-    rows: Presorted, block: np.ndarray, config: GrowthConfig, per_node: float, memo: dict, level: int = 0,
-    bound: float = math.inf, counts: Optional[np.ndarray] = None,
+    rows: Presorted, block: np.ndarray, counts: np.ndarray, config: GrowthConfig, per_node: float, memo: dict,
+    level: int = 0, bound: float = math.inf,
 ) -> Optional[tuple[Tree, float, int, int]]:
-    """``grow_pruned`` on a block: the tree, its cost, and the rows it
-    misclassifies and its node count, as ints; or None, only when that cost
-    is not below ``bound``.  ``counts`` are the block's class counts, when
-    the caller has them."""
+    """``grow_pruned`` on a block with its class counts: the tree, its cost,
+    and the rows it misclassifies and its node count, as ints; or None, only
+    when that cost is not below ``bound``.  ``memo`` maps blocks of row ids
+    to their split search and failures; calls on the same rows and
+    ``per_node`` may share one."""
     p = per_node
-    if counts is None:
-        counts = class_counts(rows, block)
     mode = int(counts.argmax())
     misses = block.shape[1] - int(counts[mode])
     leaf_cost = float(misses) + p
@@ -346,18 +342,18 @@ def grow_pruned_block(
         return leaf
     if room <= failed_room and bound <= failed_bound:  # the block costs at least failed_bound
         return None
-    left_block, right_block = partition(rows, block, cand.feature, cand.threshold)
-    left_counts = class_counts(rows, left_block)
-    right_counts = counts - left_counts
+    (left_block, left_counts), (right_block, right_counts) = partition(
+        rows, block, counts, cand.feature, cand.threshold
+    )
     # The least cost the right side can return: its leaf's, or a split's.
     sibling = min(float(right_block.shape[1] - int(right_counts.max())) + p, p + p + p)
     left_bound = _least_bound(target - p - sibling, target, lambda lb: p + lb + sibling >= target)
-    left = grow_pruned_block(rows, left_block, config, p, memo, level + 1, left_bound, left_counts)
+    left = grow_pruned_block(rows, left_block, left_counts, config, p, memo, level + 1, left_bound)
     if left is not None:
         left, left_cost, left_misses, left_nodes = left
         base = p + left_cost
         right_bound = _least_bound(target - base, target, lambda rb: base + rb >= target)
-        right = grow_pruned_block(rows, right_block, config, p, memo, level + 1, right_bound, right_counts)
+        right = grow_pruned_block(rows, right_block, right_counts, config, p, memo, level + 1, right_bound)
         if right is not None:
             right, right_cost, right_misses, right_nodes = right
             split_cost = base + right_cost

@@ -41,9 +41,9 @@ and that is at most ``B`` after its own three roundings.
 
 The data is presorted once per update (``grow.presort``); every node, kept or
 regrown, works on a block of row ids that a stable partition keeps sorted
-by each feature.  Class counts are handed down: a partition counts its
-left side's first line once, the right side's counts are the node's minus
-those, and a node's regrow starts from its counts.  Losses are carried up
+by each feature, and on the block's class counts, which come with it from
+``presort`` at the root and from ``grow.partition`` below it.  A node's
+regrow starts from the same counts.  Losses are carried up
 rather than recomputed: a kept leaf's misses are its rows less its class's
 count, a kept split sums its children's counts, an empty side kept verbatim
 costs only its nodes, and a regrown subtree brings its misclassifications
@@ -65,13 +65,11 @@ or ties, and a regrow that wins shares nothing with ``prev``.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from .data import Dataset
 from .errors import InputShapeError
-from .grow import GrowthConfig, Presorted, class_counts, grow_pruned, grow_pruned_block, partition, presort
+from .grow import GrowthConfig, Presorted, grow_pruned, grow_pruned_block, partition, presort
 from .loss import LossParams, breakdown
 # grow, prune and loss go unused here; perfbench/tracer.py patches them in this module.
 from .grow import grow  # noqa: F401
@@ -102,16 +100,14 @@ def update(prev: Tree, data: Dataset, params: LossParams, growth: GrowthConfig =
 
 
 def _optimize(
-    prev: Tree, rows: Presorted, block: np.ndarray, params: LossParams, growth: GrowthConfig, memo: dict,
-    counts: Optional[np.ndarray] = None,
+    prev: Tree, rows: Presorted, block: np.ndarray, counts: np.ndarray, params: LossParams,
+    growth: GrowthConfig, memo: dict,
 ):
     """Return (chosen subtree, its loss against ``prev`` on the block's rows).
 
-    ``memo`` is the split memo shared by every regrow of one update;
-    ``counts`` are the block's class counts, when the caller has them.
+    ``counts`` are the block's class counts; ``memo`` is the split memo
+    shared by every regrow of one update.
     """
-    if counts is None:
-        counts = class_counts(rows, block)
     if isinstance(prev, Leaf):
         keep: Tree = prev
         n, label = block.shape[1], prev.class_label
@@ -119,16 +115,15 @@ def _optimize(
         keep_loss = breakdown(misses, 1, 0, params)
     else:
         kept = []
-        sides = partition(rows, block, prev.feature, prev.threshold)
-        left_counts = class_counts(rows, sides[0])
-        for child, side, side_counts in zip((prev.left, prev.right), sides, (left_counts, counts - left_counts)):
+        sides = partition(rows, block, counts, prev.feature, prev.threshold)
+        for child, (side, side_counts) in zip((prev.left, prev.right), sides):
             if side.shape[1] == 0:
                 # An empty side stays exactly as it was: no rows reach it, so
                 # only the alpha term applies and regrowing (which needs data)
                 # is moot.
                 kept.append((child, breakdown(0, node_count(child), 0, params)))
             else:
-                kept.append(_optimize(child, rows, side, params, growth, memo, side_counts))
+                kept.append(_optimize(child, rows, side, side_counts, params, growth, memo))
         (left, left_loss), (right, right_loss) = kept
         keep = Split(prev.feature, prev.threshold, left, right)
         keep_loss = breakdown(
@@ -140,7 +135,7 @@ def _optimize(
 
     # A regrow that cannot get under this bound loses to keep or ties it (module docstring).
     bound = (keep_loss.total + 2.0**-1000) * (1.0 + (block.shape[1] + 2) * 2.0**-50)
-    regrow = grow_pruned_block(rows, block, growth, params.alpha + params.beta, memo, bound=bound, counts=counts)
+    regrow = grow_pruned_block(rows, block, counts, growth, params.alpha + params.beta, memo, bound=bound)
     if regrow is None:
         return keep, keep_loss
     regrown, _, misses, nodes = regrow
@@ -155,7 +150,7 @@ def retrain(data: Dataset, params: LossParams, growth: GrowthConfig = GrowthConf
     """Grow and prune from scratch, ignoring any previous tree (beta plays no part)."""
     if data.n_rows == 0:
         raise ValueError("retrain requires a non-empty dataset")
-    tree, _ = grow_pruned(data, growth, LossParams(params.alpha, 0.0), {})
+    tree, _ = grow_pruned(data, growth, LossParams(params.alpha, 0.0))
     return tree
 
 

@@ -49,6 +49,14 @@ def test_grow_header_narrower_than_rows_exits_3(tmp_path, capsys):
     assert "header has 3 columns but row 2 has 4" in capsys.readouterr().err
 
 
+def test_grow_cell_over_the_csv_field_limit_exits_3(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    data.write_text('1,"' + "x" * 140000 + '"\n2,y\n')
+    rc = main(["grow", "--data", str(data), "--out", str(tmp_path / "t.json")])
+    assert rc == 3
+    assert "row 1: field larger than field limit" in capsys.readouterr().err
+
+
 def test_grow_dot_output(data_file, tmp_path):
     out = tmp_path / "tree.json"
     dot = tmp_path / "tree.dot"

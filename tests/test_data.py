@@ -278,6 +278,29 @@ def test_load_csv_skips_a_utf8_byte_order_mark(tmp_path, text, label_column, has
     assert load_outcome(ref_load_csv, str(marked), label_column, has_header) == expected
 
 
+# A quoted cell longer than the csv reader's field limit (131,072 characters).
+OVERSIZED = '"' + "x" * (csv.field_size_limit() + 1) + '"'
+
+
+@pytest.mark.parametrize(
+    "lines, has_header, row",
+    [
+        (["a," + OVERSIZED, "1,0", "2,1"], True, 1),  # the header
+        (["1," + OVERSIZED, "2,1"], False, 1),  # the first row, which sets the width
+        (["x,label", "1,0", "2,1", "3," + OVERSIZED, "4,0"], True, 4),  # a row inside a chunk
+    ],
+    ids=["header", "first-row", "chunk"],
+)
+def test_load_csv_names_the_row_of_a_cell_over_the_field_limit(tmp_path, monkeypatch, lines, has_header, row):
+    monkeypatch.setattr(DATA_MODULE, "CHUNK_ROWS", 2)
+    path = write(tmp_path, "d.csv", "\n".join(lines) + "\n")
+    with pytest.raises(DataLoadError, match=f"d.csv, row {row}: field larger than field limit"):
+        load_csv(path, label_column=1, has_header=has_header)
+    # Unquoted, the same cell is a label like any other.
+    unquoted = write(tmp_path, "e.csv", "\n".join(lines).replace('"', "") + "\n")
+    assert load_csv(unquoted, label_column=1, has_header=has_header).n_rows == len(lines) - has_header
+
+
 def test_load_csv_numerically_equal_labels_keep_first_seen_order(tmp_path):
     # "1.0" and "1" sort as equals; the first one met comes first, whatever
     # the process's string hashes.

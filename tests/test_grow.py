@@ -117,19 +117,22 @@ def test_split_search_equals_per_feature_reference(monkeypatch, lines_per_sweep)
         sweep_lines(data.n_rows)
         assert bits(best_split(data)) == bits(ref_best_split(data))
         # Blocks made by partition search as their rows would on their own.
-        rows, block = presort(data)
+        rows, block, counts = presort(data)
         feature = int(rng.integers(data.n_features))
         threshold = float(rng.choice(data.features[:, feature]))
         goes_left = data.features[:, feature] <= threshold
         sides = (np.flatnonzero(goes_left), np.flatnonzero(~goes_left))
-        for side, ids in zip(partition(rows, block, feature, threshold), sides):
+        parts = partition(rows, block, counts, feature, threshold)
+        for (side, side_counts), ids in zip(parts, sides):
             assert side.shape == (data.n_features, ids.size)
+            assert np.array_equal(side_counts, np.bincount(data.labels[ids], minlength=data.n_classes))
             for line in range(data.n_features):  # the side's rows, stably sorted by that feature
                 assert np.array_equal(side[line], ids[np.argsort(data.features[ids, line], kind="stable")])
             if ids.size:
                 sweep_lines(ids.size)
-                assert bits(split_search(rows, side)) == bits(ref_best_split(data.subset(ids)))
+                assert bits(split_search(rows, side, side_counts)) == bits(ref_best_split(data.subset(ids)))
                 searched += 1
+        assert np.array_equal(parts[0][1] + parts[1][1], counts)
     assert searched > 400
 
 
@@ -140,7 +143,7 @@ def test_presort_flags_the_tied_lines():
         data = search_case(rng, case)
         if rng.random() < 0.2:  # -0.0 and 0.0 are equal values
             data = Dataset(np.where(data.features < 0, -0.0, 0.0), data.labels, data.n_classes)
-        rows, _ = presort(data)
+        rows = presort(data)[0]
         shared = [len(set(data.features[:, j].tolist())) < data.n_rows for j in range(data.n_features)]
         assert rows.tied == tuple(shared)
         seen.update(shared)
@@ -167,10 +170,10 @@ def test_split_search_memory_does_not_grow_with_the_class_count():
     # axis on that array, (side, class, line, position), would take 96 MB.
     rng = np.random.default_rng(38)
     data = Dataset(rng.random((20000, 4)), rng.integers(0, 300, 20000), 300)
-    rows, block = presort(data)
+    rows, block, counts = presort(data)
     tracemalloc.start()
     try:
-        cand = split_search(rows, block)
+        cand = split_search(rows, block, counts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -297,7 +300,7 @@ def test_grow_pruned_equals_grow_then_prune():
         for p, max_depth in itertools.product([0.1, 1 / 3, 1.0, 5.0], [6, None])
     ]
     for p, max_depth, data in small + noisy:  # 336 + 8 datasets
-        tree, cost = grow_pruned(data, GrowthConfig(max_depth), LossParams(p, 0), {})
+        tree, cost = grow_pruned(data, GrowthConfig(max_depth), LossParams(p, 0))
         assert (tree, cost) == grown_then_pruned(data, max_depth, p)
         assert type(cost) is float
 
@@ -308,9 +311,9 @@ def test_grow_pruned_bound_cuts_searches(monkeypatch):
     monkeypatch.setattr(
         GROW_MODULE,
         "split_search",
-        lambda rows, block, counts=None: searched.append(block) or split_search(rows, block, counts),
+        lambda rows, block, counts: searched.append(block) or split_search(rows, block, counts),
     )
-    tree, cost = grow_pruned(data, GrowthConfig(), LossParams(1.0, 0), {})
+    tree, cost = grow_pruned(data, GrowthConfig(), LossParams(1.0, 0))
     fused = len(searched)
     searched.clear()
     assert (tree, cost) == grown_then_pruned(data, None, 1.0)
@@ -350,7 +353,7 @@ def test_least_bound_bisects_past_a_cancelled_start():
 def test_grow_pruned_node_price_rounding_to_inf():
     # alpha + beta overflows: every cost is inf, and an unbounded call still gives its tree.
     params = LossParams(1e308, 1e308)
-    assert grow_pruned(FOUR, GrowthConfig(), params, {}) == (Leaf(0), math.inf)
+    assert grow_pruned(FOUR, GrowthConfig(), params) == (Leaf(0), math.inf)
     assert update(grow(FOUR), FOUR, params) == grow(FOUR)
 
 
@@ -367,9 +370,9 @@ def test_grow_pruned_stops_early_at_m_equal_2p(monkeypatch, p, m, x, y):
     monkeypatch.setattr(
         GROW_MODULE,
         "split_search",
-        lambda rows, block, counts=None: searched.append(block) or split_search(rows, block, counts),
+        lambda rows, block, counts: searched.append(block) or split_search(rows, block, counts),
     )
-    tree, cost = grow_pruned(data, GrowthConfig(), LossParams(p, 0), {})
+    tree, cost = grow_pruned(data, GrowthConfig(), LossParams(p, 0))
     assert (tree, cost) == (Leaf(0), m + p)
     assert searched == []
     # The skipped split would tie the leaf, and ties terminate.
@@ -379,7 +382,7 @@ def test_grow_pruned_stops_early_at_m_equal_2p(monkeypatch, p, m, x, y):
 
 def test_grow_pruned_splits_just_above_2p():
     # m = 2 > 2p = 1.8: the stump (2.7) beats the leaf (2.9), so no early stop.
-    tree, cost = grow_pruned(FOUR, GrowthConfig(), LossParams(0.9, 0), {})
+    tree, cost = grow_pruned(FOUR, GrowthConfig(), LossParams(0.9, 0))
     assert tree == Split(0, 2.5, Leaf(0), Leaf(1))
     assert (tree, cost) == grown_then_pruned(FOUR, None, 0.9)
 
@@ -388,9 +391,9 @@ def counting_partitions(monkeypatch):
     """Record every block ``grow_pruned_block`` partitions."""
     partitioned = []
 
-    def recording_partition(rows, block, feature, threshold):
+    def recording_partition(rows, block, counts, feature, threshold):
         partitioned.append(block)
-        return partition(rows, block, feature, threshold)
+        return partition(rows, block, counts, feature, threshold)
 
     monkeypatch.setattr(GROW_MODULE, "partition", recording_partition)
     return partitioned
@@ -414,30 +417,30 @@ SIX = dataset([1, 2, 3, 4, 5, 6], [0, 0, 1, 1, 0, 0])
 
 
 def test_grow_pruned_block_reuses_a_failure_only_at_its_level_or_deeper(monkeypatch):
-    rows, block = presort(SIX)
+    rows, block, counts = presort(SIX)
     config, p = GrowthConfig(max_depth=2), 0.1
-    tree, cost = grow_pruned(SIX, config, LossParams(p, 0), {})
+    tree, cost = grow_pruned(SIX, config, LossParams(p, 0))
     assert (node_count(tree), cost) == (5, 0.5)
     memo = {}
     # From level 1 only a stump fits under max_depth, and it does not beat the leaf's 2.1.
-    assert grow_pruned_block(rows, block, config, p, memo, level=1, bound=1.0) is None
+    assert grow_pruned_block(rows, block, counts, config, p, memo, level=1, bound=1.0) is None
     partitioned = counting_partitions(monkeypatch)
-    assert grow_pruned_block(rows, block, config, p, memo, level=1, bound=1.0) is None
+    assert grow_pruned_block(rows, block, counts, config, p, memo, level=1, bound=1.0) is None
     assert partitioned == []  # the failure is remembered ...
     # ... but not carried to a shallower start, where the block costs 0.5.
-    assert grow_pruned_block(rows, block, config, p, memo, level=0, bound=1.0)[:2] == (tree, cost)
+    assert grow_pruned_block(rows, block, counts, config, p, memo, level=0, bound=1.0)[:2] == (tree, cost)
 
 
 def test_grow_pruned_block_reuses_a_failure_only_up_to_its_bound(monkeypatch):
-    rows, block = presort(SIX)
+    rows, block, counts = presort(SIX)
     config, p = GrowthConfig(max_depth=None), 0.1
-    tree, cost = grow_pruned(SIX, config, LossParams(p, 0), {})
+    tree, cost = grow_pruned(SIX, config, LossParams(p, 0))
     memo = {}
-    assert grow_pruned_block(rows, block, config, p, memo, bound=0.4) is None
+    assert grow_pruned_block(rows, block, counts, config, p, memo, bound=0.4) is None
     partitioned = counting_partitions(monkeypatch)
     # A lower bound, or any level with max_depth None, reuses the failure.
-    assert grow_pruned_block(rows, block, config, p, memo, level=3, bound=0.35) is None
+    assert grow_pruned_block(rows, block, counts, config, p, memo, level=3, bound=0.35) is None
     assert partitioned == []
     # A higher bound than the one that failed still searches and finds the tree.
-    assert grow_pruned_block(rows, block, config, p, memo, bound=0.6)[:2] == (tree, cost)
+    assert grow_pruned_block(rows, block, counts, config, p, memo, bound=0.6)[:2] == (tree, cost)
     assert partitioned != []

@@ -216,25 +216,25 @@ def test_every_block_gets_its_own_class_counts(monkeypatch):
 
         def wrapper(*args, **kwargs):
             call = signature.bind(*args, **kwargs).arguments
-            if call.get("counts") is not None:
-                rows, block = call["rows"], call["block"]
-                assert np.array_equal(call["counts"], np.bincount(rows.labels[block[0]], minlength=rows.n_classes))
-                checked.append(fn)
+            rows, block = call["rows"], call["block"]
+            assert np.array_equal(call["counts"], np.bincount(rows.labels[block[0]], minlength=rows.n_classes))
+            checked.append(fn)
             return fn(*args, **kwargs)
 
         return wrapper
 
-    optimize, block_call = UPDATE_MODULE._optimize, GROW_MODULE.grow_pruned_block
+    optimize, block_call, search = UPDATE_MODULE._optimize, GROW_MODULE.grow_pruned_block, GROW_MODULE.split_search
     monkeypatch.setattr(UPDATE_MODULE, "_optimize", checking(optimize))
     monkeypatch.setattr(GROW_MODULE, "grow_pruned_block", checking(block_call))
     monkeypatch.setattr(UPDATE_MODULE, "grow_pruned_block", GROW_MODULE.grow_pruned_block)
+    monkeypatch.setattr(GROW_MODULE, "split_search", checking(search))
     rng = np.random.default_rng(59)
     for _ in range(60):
         data = random_dataset(rng, n_classes=int(rng.integers(2, 4)))
         params = LossParams(float(rng.choice([0.0, 0.1, 1.0])), float(rng.choice([0.0, 0.5, 1.0])))
         update(random_prev(rng, data), data, params)
-        grow_pruned(data, GrowthConfig(), params, {})
-    assert checked.count(optimize) > 100 and checked.count(block_call) > 1000
+        grow_pruned(data, GrowthConfig(), params)
+    assert checked.count(optimize) > 100 and checked.count(block_call) > 1000 and checked.count(search) > 100
 
 
 def test_update_equals_grow_then_prune_oracle():
@@ -308,7 +308,7 @@ def test_update_keep_bound_covers_the_rounding_gap():
     prev, params = Leaf(1), LossParams(0.6, 4 / 15)
     keep_total = loss(prev, prev, FOUR, params).total
     assert loss(None, STUMP, FOUR, params).total < keep_total
-    assert grow_pruned(FOUR, GrowthConfig(), LossParams(params.alpha + params.beta, 0.0), {}) == (STUMP, keep_total)
+    assert grow_pruned(FOUR, GrowthConfig(), LossParams(params.alpha + params.beta, 0.0)) == (STUMP, keep_total)
     assert update(prev, FOUR, params) == STUMP
     assert_matches_oracle(prev, FOUR, params)
 
@@ -327,7 +327,7 @@ def test_update_searches_each_partition_once(monkeypatch):
     assert (root.feature, root.threshold) == (prev.feature, prev.threshold)
     searched = []
 
-    def recording_search(rows, block, counts=None):
+    def recording_search(rows, block, counts):
         searched.append(tight_box(rows, block))
         return split_search(rows, block, counts)
 
