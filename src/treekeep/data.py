@@ -13,7 +13,7 @@ import json
 import math
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
@@ -78,9 +78,24 @@ class Dataset:
         return self.features.shape[1]
 
     def subset(self, indices) -> "Dataset":
+        """A copy of the rows at ``indices``, in that order.
+
+        ``indices`` is what numpy's fancy indexing takes along the rows:
+        integers (an array or a list, empty too; negative ones count from
+        the end) or a boolean mask with one entry per row.  An index out of
+        range or a mask of the wrong length raises ``IndexError``.  Rows are
+        gathered with ``take``, a few times faster than fancy indexing.
+        """
+        rows = np.asarray(indices)
+        if rows.dtype == np.bool_:
+            if rows.shape != self.labels.shape:
+                raise IndexError(f"boolean index of shape {rows.shape} does not match {self.n_rows} rows")
+            rows = np.flatnonzero(rows)
+        elif rows.size == 0:  # an empty list is a float array to numpy
+            rows = rows.astype(np.intp)
         return Dataset(
-            self.features[indices],
-            self.labels[indices],
+            self.features.take(rows, axis=0),
+            self.labels.take(rows),
             self.n_classes,
             self.column_names,
             self.label_names,
@@ -300,28 +315,52 @@ def builtin_dataset_path(name: str) -> str:
 class BatchPlan:
     """Disjoint training batches plus a held-out test set over one dataset.
 
-    ``cumulative(t)`` is the union of batches 0..t, the training data a model
-    sees at step t.
+    The plan gathers its rows from ``source`` once, when it is made: the
+    test rows (``test``) and every batch's rows, in draw order.
+    ``batch(t)`` and ``cumulative(t)``, the union of batches 0..t and so
+    the training data a model sees at step t, are read-only views into the
+    gathered training rows, so a stream of T batches copies each row once
+    rather than up to T times.
     """
 
     source: Dataset
     batch_indices: tuple[np.ndarray, ...]
     test_indices: np.ndarray
+    test: Dataset = field(init=False, repr=False, compare=False)
+    _train: Dataset = field(init=False, repr=False, compare=False)
+    _ends: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "test", self.source.subset(self.test_indices))
+        object.__setattr__(self, "_train", self.source.subset(np.concatenate(self.batch_indices)))
+        object.__setattr__(self, "_ends", tuple(itertools.accumulate(map(len, self.batch_indices))))
 
     @property
     def n_batches(self) -> int:
         return len(self.batch_indices)
 
-    @property
-    def test(self) -> Dataset:
-        return self.source.subset(self.test_indices)
+    def _check(self, t: int) -> None:
+        if not 0 <= t < self.n_batches:
+            raise ValueError(f"batch t={t} is outside 0..{self.n_batches - 1} (n_batches={self.n_batches})")
+
+    def _rows(self, start: int, end: int) -> Dataset:
+        train = self._train
+        return Dataset(
+            train.features[start:end],
+            train.labels[start:end],
+            train.n_classes,
+            train.column_names,
+            train.label_names,
+        )
 
     def batch(self, t: int) -> Dataset:
-        return self.source.subset(self.batch_indices[t])
+        self._check(t)
+        return self._rows(self._ends[t - 1] if t else 0, self._ends[t])
 
     def cumulative(self, t: int) -> Dataset:
         """Union of batches 0..t, in draw order."""
-        return self.source.subset(np.concatenate(self.batch_indices[: t + 1]))
+        self._check(t)
+        return self._rows(0, self._ends[t])
 
 
 def make_batch_plan(
@@ -424,7 +463,13 @@ class SyntheticSpec:
 
 
 def synthetic(spec: SyntheticSpec, seed) -> Dataset:
-    """Generate a dataset from a spec; deterministic for a fixed seed."""
+    """Generate a dataset from a spec; deterministic for a fixed seed.
+
+    A rectangle's rows are found one feature column at a time: each bound
+    that can cut a row is compared and ANDed into a copy of the rows no
+    earlier rectangle took, so no temporary the size of the feature matrix
+    is made.
+    """
     spec.validate()
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     n, d = spec.n_rows, spec.n_features
@@ -432,19 +477,24 @@ def synthetic(spec: SyntheticSpec, seed) -> Dataset:
     labels = np.full(n, spec.background_label, dtype=np.int64)
     unassigned = np.ones(n, dtype=bool)
     for rect in spec.rectangles:
-        inside = np.all(
-            (features >= np.asarray(rect.lows)) & (features <= np.asarray(rect.highs)),
-            axis=1,
-        )
-        take = inside & unassigned
+        take = unassigned.copy()
+        for j, (low, high) in enumerate(zip(rect.lows, rect.highs)):
+            # Features lie in [0, 1): a low at or below 0 or a high at or
+            # above 1 keeps every row and is not compared.  A NaN bound is
+            # compared, and keeps no row.
+            column = features[:, j]
+            if not low <= 0.0:
+                take &= column >= low
+            if not high >= 1.0:
+                take &= column <= high
         labels[take] = rect.label
         unassigned &= ~take
     k = spec.resolved_classes()
     if spec.flip_noise > 0.0 and k > 1:
-        flip = rng.random(n) < spec.flip_noise
+        flipped = np.flatnonzero(rng.random(n) < spec.flip_noise)
         # uniformly pick a class different from the current one
         offsets = rng.integers(1, k, size=n)
-        labels = np.where(flip, (labels + offsets) % k, labels)
+        labels[flipped] = (labels[flipped] + offsets[flipped]) % k
     return Dataset(features, labels, n_classes=k)
 
 

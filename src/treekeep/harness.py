@@ -25,6 +25,7 @@ import numpy as np
 
 from . import __version__
 from .data import (
+    BatchPlan,
     Dataset,
     SyntheticSpec,
     Rectangle,
@@ -147,19 +148,25 @@ def archive_name(record: RunRecord) -> str:
     )
 
 
-def _run_single(
-    config: ExperimentConfig,
-    run: int,
-    archive_dir: Optional[str],
-    max_batches: Optional[int],
-) -> list[RunRecord]:
-    plan = make_batch_plan(
+def _plan(config: ExperimentConfig, run: int) -> BatchPlan:
+    """Run ``run``'s batches and test set: they depend on the dataset, the
+    sizes and (seed, run) only, not on the algorithm."""
+    return make_batch_plan(
         config.dataset,
         config.n_batches,
         config.batch_size,
         config.test_size,
         (config.seed, run),
     )
+
+
+def _run_single(
+    config: ExperimentConfig,
+    run: int,
+    plan: BatchPlan,
+    archive_dir: Optional[str],
+    max_batches: Optional[int] = None,
+) -> list[RunRecord]:
     n_steps = plan.n_batches if max_batches is None else min(max_batches, plan.n_batches)
     test = plan.test
     records = []
@@ -199,21 +206,11 @@ def _run_single(
     return records
 
 
-def _run_all(config: ExperimentConfig, archive_dir=None, max_batches=None) -> list[RunRecord]:
-    records = []
-    for run in range(config.n_runs):
-        records.extend(_run_single(config, run, archive_dir, max_batches))
-    return records
-
-
-def _step_records(config: ExperimentConfig, archive_dir, step: int) -> list[RunRecord]:
-    """Every run up to batch ``step``, keeping only that batch's rows."""
-    return [r for r in _run_all(config, archive_dir, max_batches=step + 1) if r.batch == step]
-
-
 def run_experiment(config: ExperimentConfig, archive_dir: Optional[str] = None) -> list[RunRecord]:
     """All runs of one algorithm over the batch stream; canonically sorted."""
-    records = _run_all(config, archive_dir)
+    records = []
+    for run in range(config.n_runs):
+        records.extend(_run_single(config, run, _plan(config, run), archive_dir))
     records.sort(key=_row_order)
     return records
 
@@ -230,23 +227,28 @@ def sweep(
     updating involved, batch 0 only).  The beta sweep holds alpha at the
     config's value and records batch-1 metrics for each beta, alongside the
     retrain and keep-original baseline rows for the same batch.
+
+    Each run draws its plan once and runs every swept config on it, one run
+    at a time, so only one plan is held at once.
     """
     if not alphas and not betas:
         raise ConfigError("sweep needs at least one alpha or beta value")
-    records: list[RunRecord] = []
-    for alpha in alphas:
-        cfg = replace(config, algorithm=AlgorithmSpec("retrain", alpha=alpha))
-        records.extend(_step_records(cfg, archive_dir, 0))
+    if betas and config.n_batches < 2:
+        raise ConfigError("a beta sweep needs n_batches >= 2")
+    # Each swept config with the one batch whose rows it records.
+    steps = [(AlgorithmSpec("retrain", alpha=alpha), 0) for alpha in alphas]
     if betas:
-        if config.n_batches < 2:
-            raise ConfigError("a beta sweep needs n_batches >= 2")
         fixed_alpha = config.algorithm.alpha
-        for beta in betas:
-            cfg = replace(config, algorithm=AlgorithmSpec("keep_regrow", fixed_alpha, beta))
-            records.extend(_step_records(cfg, archive_dir, 1))
-        for baseline in ("retrain", "keep_original"):
-            cfg = replace(config, algorithm=AlgorithmSpec(baseline, fixed_alpha))
-            records.extend(_step_records(cfg, archive_dir, 1))
+        steps += [(AlgorithmSpec("keep_regrow", fixed_alpha, beta), 1) for beta in betas]
+        steps += [(AlgorithmSpec(baseline, fixed_alpha), 1) for baseline in ("retrain", "keep_original")]
+    records: list[RunRecord] = []
+    for run in range(config.n_runs):
+        plan = _plan(config, run)
+        for algorithm, step in steps:
+            cfg = replace(config, algorithm=algorithm)
+            records.extend(
+                r for r in _run_single(cfg, run, plan, archive_dir, max_batches=step + 1) if r.batch == step
+            )
     records.sort(key=_row_order)
     return records
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from treekeep import Dataset, GrowthConfig, Leaf, Split, SplitCandidate, grow, load_tree, loss, prune
 from treekeep.cli import main
-from treekeep.data import builtin_dataset_path, load_csv, make_batch_plan
+from treekeep.data import SyntheticSpec, builtin_dataset_path, load_csv, make_batch_plan
 from treekeep.errors import DataLoadError
 
 # Seed of the 15-row iris sample: updating its tree on full iris keeps the
@@ -236,6 +236,32 @@ def ref_load_csv(path, label_column: Union[int, str], has_header: bool = False) 
         column_names=column_names,
         label_names=tuple(distinct),
     )
+
+
+def ref_synthetic(spec: SyntheticSpec, seed) -> Dataset:
+    """``synthetic`` as it was before the column-wise masks: each
+    rectangle's mask from one broadcast comparison of the whole feature
+    matrix and an ``np.all`` along its rows."""
+    spec.validate()
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    n, d = spec.n_rows, spec.n_features
+    features = rng.uniform(0.0, 1.0, size=(n, d))
+    labels = np.full(n, spec.background_label, dtype=np.int64)
+    unassigned = np.ones(n, dtype=bool)
+    for rect in spec.rectangles:
+        inside = np.all(
+            (features >= np.asarray(rect.lows)) & (features <= np.asarray(rect.highs)),
+            axis=1,
+        )
+        take = inside & unassigned
+        labels[take] = rect.label
+        unassigned &= ~take
+    k = spec.resolved_classes()
+    if spec.flip_noise > 0.0 and k > 1:
+        flip = rng.random(n) < spec.flip_noise
+        offsets = rng.integers(1, k, size=n)
+        labels = np.where(flip, (labels + offsets) % k, labels)
+    return Dataset(features, labels, n_classes=k)
 
 
 def right_chain_document(depth):

@@ -9,6 +9,7 @@ import pytest
 
 from treekeep import Dataset, load_csv, make_batch_plan, synthetic
 from treekeep.data import (
+    BatchPlan,
     Rectangle,
     SyntheticSpec,
     builtin_dataset_path,
@@ -17,7 +18,7 @@ from treekeep.data import (
 )
 from treekeep.errors import ConfigError, DataLoadError
 
-from conftest import ref_load_csv
+from conftest import ref_load_csv, ref_synthetic
 
 DATA_MODULE = importlib.import_module("treekeep.data")
 
@@ -382,6 +383,47 @@ def test_partition_boundary_goes_left():
     assert right.labels.tolist() == [2]
 
 
+SUBSET_DATA = Dataset(
+    np.arange(21, dtype=float).reshape(7, 3),
+    np.array([0, 1, 2, 0, 1, 2, 0]),
+    3,
+    column_names=("a", "b", "c"),
+    label_names=("x", "y", "z"),
+)
+
+
+@pytest.mark.parametrize(
+    "indices",
+    [
+        np.array([3, 0, 3, 6]),
+        np.array([-1, -7, 2], dtype=np.int32),
+        [5, -2, 1],
+        [],
+        np.array([], dtype=np.int64),
+        np.array([True, False, False, True, True, False, True]),
+        np.zeros(7, dtype=bool),
+    ],
+    ids=["ints", "negative-int32", "list", "empty-list", "empty-array", "mask", "empty-mask"],
+)
+def test_subset_matches_fancy_indexing(indices):
+    got = SUBSET_DATA.subset(indices)
+    assert np.array_equal(got.features, SUBSET_DATA.features[indices])
+    assert np.array_equal(got.labels, SUBSET_DATA.labels[indices])
+    assert (got.n_classes, got.column_names, got.label_names) == (3, ("a", "b", "c"), ("x", "y", "z"))
+
+
+@pytest.mark.parametrize(
+    "indices",
+    [[7], np.array([-8]), np.ones(6, dtype=bool), np.ones(8, dtype=bool)],
+    ids=["past-end", "before-start", "short-mask", "long-mask"],
+)
+def test_subset_rejects_what_fancy_indexing_rejects(indices):
+    with pytest.raises(IndexError):
+        SUBSET_DATA.features[indices]
+    with pytest.raises(IndexError):
+        SUBSET_DATA.subset(indices)
+
+
 def make_identifiable(n):
     # feature 0 identifies the row, so shuffles can be audited
     features = np.column_stack([np.arange(n, dtype=float), np.zeros(n)])
@@ -412,6 +454,31 @@ def test_batch_plan_disjoint_and_cumulative():
     assert len(ids[0] | ids[1] | ids[2] | test_ids) == 100
     assert plan.cumulative(1).n_rows == 40
     assert set(plan.cumulative(2).features[:, 0].tolist()) == ids[0] | ids[1] | ids[2]
+
+
+def test_cumulative_is_a_read_only_view_of_the_plan_rows():
+    data = make_identifiable(30)
+    batches = (np.array([4, 9, 0]), np.array([17]), np.array([29, -2, 8, 22, 11]), np.array([13, 2]))
+    plan = BatchPlan(data, batches, np.array([5, 6]))
+    last = plan.cumulative(plan.n_batches - 1)
+    for t in range(plan.n_batches):
+        got = plan.cumulative(t)
+        want = data.subset(np.concatenate(batches[: t + 1]))
+        assert np.array_equal(got.features, want.features)
+        assert np.array_equal(got.labels, want.labels)
+        assert np.shares_memory(got.features, last.features)
+        assert np.shares_memory(got.labels, last.labels)
+        assert not got.features.flags.writeable and not got.labels.flags.writeable
+        assert np.array_equal(plan.batch(t).features, data.subset(batches[t]).features)
+    assert plan.test is plan.test
+    assert plan.test.features[:, 0].tolist() == [5.0, 6.0]
+
+
+@pytest.mark.parametrize("method, t", [("cumulative", 5), ("cumulative", -1), ("batch", -1), ("batch", 3)])
+def test_batch_plan_rejects_t_outside_its_batches(method, t):
+    plan = make_batch_plan(make_identifiable(40), 3, 10, 10, seed=1)
+    with pytest.raises(ValueError, match=rf"t={t}\b.*n_batches=3"):
+        getattr(plan, method)(t)
 
 
 def test_batch_plan_shrinks_test_with_warning():
@@ -461,6 +528,48 @@ def test_synthetic_full_flip_noise_decouples_labels():
     clean = synthetic(SyntheticSpec(n_rows=2000, n_features=1, rectangles=spec.rectangles), seed=3)
     flipped = np.mean(noisy.labels != clean.labels)
     assert 0.4 < flipped < 0.6
+
+
+def random_spec(rng) -> SyntheticSpec:
+    """1-8 features and 0-4 rectangles.  Bounds reach outside [0, 1], some
+    as integers and some NaN; a rectangle may be empty or cover an earlier
+    one."""
+    d = int(rng.integers(1, 9))
+    rects = []
+    for _ in range(int(rng.integers(0, 5))):
+        lows = rng.uniform(-0.5, 1.2, size=d)
+        highs = lows + rng.uniform(0.0, 1.0, size=d)
+        if rng.random() < 0.2:
+            lows, highs = np.floor(lows), np.ceil(highs)
+        if rng.random() < 0.1:
+            (lows if rng.random() < 0.5 else highs)[rng.integers(d)] = np.nan
+        box = [tuple(int(v) if v.is_integer() else v for v in b.tolist()) for b in (lows, highs)]
+        if rects and rng.random() < 0.2:
+            box = [rects[-1].lows, rects[-1].highs]
+        rects.append(Rectangle(*box, int(rng.integers(0, 4))))
+    background = int(rng.integers(0, 3))
+    needed = max([background] + [r.label for r in rects]) + 1
+    return SyntheticSpec(
+        n_rows=int(rng.integers(1, 400)),
+        n_features=d,
+        rectangles=tuple(rects),
+        background_label=background,
+        flip_noise=float(rng.choice([0.0, 0.1, 1.0])),
+        n_classes=None if rng.random() < 0.5 else needed + int(rng.integers(0, 3)),
+    )
+
+
+def test_synthetic_matches_broadcast_reference():
+    rng = np.random.default_rng(17)
+    claimed = 0
+    for case in range(300):
+        spec = random_spec(rng)
+        got, want = synthetic(spec, (case, 1)), ref_synthetic(spec, (case, 1))
+        assert np.array_equal(got.features, want.features)
+        assert np.array_equal(got.labels, want.labels)
+        assert got.n_classes == want.n_classes
+        claimed += spec.flip_noise == 0.0 and bool(np.any(got.labels != spec.background_label))
+    assert claimed > 20  # rectangles do claim rows
 
 
 def test_synthetic_invalid_spec():

@@ -176,6 +176,30 @@ def test_sweep_beta_rows_and_baselines():
     assert frozen == keep
 
 
+def test_sweep_draws_one_plan_per_run(monkeypatch):
+    seeds = []
+
+    def counted_plan(*args):
+        seeds.append(args[-1])
+        return make_batch_plan(*args)
+
+    monkeypatch.setattr(HARNESS_MODULE, "make_batch_plan", counted_plan)
+    config = make_config(n_runs=3)
+    records = sweep(config, alphas=[0.0, 1.0, 5.0], betas=[0.0, 1.0, 100.0])
+    assert seeds == [(config.seed, run) for run in range(3)]
+    assert len(records) == 3 * (3 + 3 + 2)
+
+
+def test_sweep_warns_once_per_run_when_the_data_runs_short():
+    # 400 rows hold 13 batches of 30, leaving 10 rows for a test set of 60.
+    config = make_config(n_runs=2, n_batches=20, batch_size=30, test_size=60)
+    with pytest.warns(UserWarning) as caught:
+        sweep(config, alphas=[1.0], betas=[1.0])
+    messages = [str(w.message) for w in caught]
+    assert sum("requested 20 batches" in m for m in messages) == 2
+    assert sum("test set" in m for m in messages) == 2
+
+
 def test_sweep_needs_values():
     with pytest.raises(ConfigError):
         sweep(make_config(), alphas=[], betas=[])
