@@ -305,6 +305,28 @@ def test_grow_pruned_equals_grow_then_prune():
         assert type(cost) is float
 
 
+@pytest.mark.parametrize("alpha, beta", [(1, 2), (0.3, 1 / 3)])
+def test_trees_do_not_depend_on_row_order(alpha, beta):
+    # Rows with equal values may lie in any order along a presorted line: a
+    # tree depends only on which rows lie left of each cut.
+    rng = np.random.default_rng(43)
+    params = LossParams(alpha, beta)
+    for case in range(60):
+        n_rows = int(rng.integers(2, 400))
+        if case % 2:
+            features = rng.integers(0, 6, size=(n_rows, 3)).astype(np.float64)  # tied
+        else:
+            features = rng.uniform(0.0, 8.0, size=(n_rows, 3))  # untied
+        labels = (features[:, 0] > 2.5).astype(int) + (features[:, 1] > 1.5)
+        noise = rng.random(n_rows) < 0.3
+        labels[noise] = rng.integers(0, 3, size=int(noise.sum()))
+        data = Dataset(features, labels, 3)
+        shuffled = data.subset(rng.permutation(n_rows))
+        assert retrain(shuffled, params) == retrain(data, params)
+        prev = retrain(data.subset(np.arange(n_rows // 2 + 1)), LossParams(0.5, 0.0))
+        assert update(prev, shuffled, params) == update(prev, data, params)
+
+
 def test_grow_pruned_bound_cuts_searches(monkeypatch):
     data = noisy_dataset(np.random.default_rng(37), 1000)
     searched = []
