@@ -29,7 +29,7 @@ from .errors import (
     TreeFormatError,
     TreekeepError,
 )
-from .grow import GrowthConfig, SplitCandidate, best_split, grow
+from .grow import GrowthConfig, SplitCandidate, best_split
 from .harness import (
     AlgorithmSpec,
     ExperimentConfig,
@@ -42,7 +42,6 @@ from .harness import (
     sweep,
 )
 from .loss import LossBreakdown, LossParams, change_count, loss, misclassification_count
-from .prune import prune
 from .tree import (
     Leaf,
     Split,

@@ -536,12 +536,17 @@ def load_manifest(path) -> DatasetManifest:
     missing = {"name", "url", "file", "label_column"} - set(obj)
     if missing:
         raise DataLoadError(f"{path}: manifest is missing fields: {sorted(missing)}")
+    has_header, label_column = obj.get("has_header", False), obj["label_column"]
+    if not isinstance(has_header, bool):
+        raise DataLoadError(f"{path}: has_header must be true or false, got {has_header!r}")
+    if isinstance(label_column, bool) or not isinstance(label_column, (int, str)):
+        raise DataLoadError(f"{path}: label_column must be an integer or a name, got {label_column!r}")
     return DatasetManifest(
         name=obj["name"],
         url=obj["url"],
         file=obj["file"],
-        label_column=obj["label_column"],
-        has_header=bool(obj.get("has_header", False)),
+        label_column=label_column,
+        has_header=has_header,
         base_dir=os.path.dirname(os.path.abspath(path)),
     )
 

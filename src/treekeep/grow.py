@@ -7,22 +7,24 @@ and then the lowest threshold, so growing is fully deterministic.
 Split searches run on an index engine, as in CART's presort.  ``presort``
 sorts every feature column of a dataset once.  The rows that reach a node
 are then a block: an ``(n_features, n_rows)`` array of row ids whose line
-``j`` lists the node's rows in order of feature ``j``.  A block always
-travels with its class counts.  ``presort`` counts the whole dataset once,
-and below the root only ``partition`` counts: it splits a block with one
-boolean mask over the flattened block, counts the left side's first line,
-and hands the right side the parent's counts minus those.  The filter is
-stable, so every line of both sides stays sorted, and no node sorts or
-copies features.  ``split_search`` scores the candidates of many features
-in one vectorised sweep, with the arithmetic of a per-feature search;
-``best_split`` is that search on a freshly presorted dataset.  A sweep
-scores the whole position grid, the cut after every row of every line but
-the last row, and masks out the positions between equal values rather than
-listing the true cuts; its class counts are cumulated from labels stored in
-the narrowest unsigned type that holds them (one byte up to 256 classes).
-Only a feature with two equal values anywhere (``Presorted.tied``) can have
-equal neighbours in a block, so a sweep of tie-free lines skips the mask
-and does not gather their values.
+``j`` lists the node's rows in order of feature ``j``.  Rows with equal
+values keep the order ``presort`` gave them; no split depends on it, as no
+cut falls between equal values.  A block always travels with its class
+counts.  ``presort`` counts the whole dataset once, and below the root only
+``partition`` counts: it splits a block with one boolean mask over the
+flattened block, counts the left side's first line, and hands the right
+side the parent's counts minus those.  The filter is stable, so every line
+of both sides stays sorted, and no node sorts or copies features.
+``split_search`` scores the candidates of many features in one vectorised
+sweep, with the arithmetic of a per-feature search; ``best_split`` is that
+search on a freshly presorted dataset.  A sweep scores the whole position
+grid, the cut after every row of every line but the last row, and masks out
+the positions between equal values rather than listing the true cuts; its
+class counts are cumulated from labels stored in the narrowest unsigned
+type that holds them (one byte up to 256 classes).  Only a feature with
+two equal values anywhere (``Presorted.tied``) can have equal neighbours in
+a block, so a sweep of tie-free lines skips the mask and does not gather
+their values.
 
 ``grow_pruned`` fuses ``grow`` with ``prune.prune`` into one recursion over
 blocks for ``update`` and ``retrain``; each call takes its block's counts
@@ -60,9 +62,11 @@ float cost, that growing and then pruning would, but it searches less:
   split, or the node misses its own bound.  Every subtree that does return
   is exact, ties still go to the leaf, and the memo's entries do not depend
   on the bound, so the tree and cost are those of growing and then pruning,
-  with fewer searches.  Both least floats are found by a few ulp steps and,
-  past them, by bisection over the floats' ordered bit patterns: after
-  cancellation a start can lie billions of ulps below its bound.
+  with fewer searches.  A few ulp steps find each least float.  After
+  cancellation a start can lie billions of ulps below it, and the child
+  then gets ``target`` itself: ``p``, ``L`` and ``LB_R`` are non-negative,
+  so a child cost of ``target`` or more brings the split to ``target``
+  too, and the looser bound costs searches, never a different tree.
 * Lower-bound memo: a call that searches and still returns None has shown
   that its block, grown with its room (the levels ``max_depth`` leaves below
   it) or less, costs at least its bound.  The block's memo entry keeps the
@@ -79,7 +83,6 @@ float cost, that growing and then pruning would, but it searches less:
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -129,23 +132,18 @@ def presort(data: Dataset) -> tuple[Presorted, np.ndarray, np.ndarray]:
     """Sort every feature once; return the layout, the block of all rows and
     its class counts.
 
-    Equal values keep row order, as a stable sort leaves them."""
+    Rows with equal values come in whatever order ``np.argsort`` leaves
+    them: no cut falls between equal values, so the order of a tie decides
+    no split."""
     columns = np.ascontiguousarray(data.features.T)
     if columns.shape[0] == 0:  # one constant line lists the rows and never splits
         columns = np.zeros((1, data.n_rows))
-    n = columns.shape[1]
-    block = np.argsort(columns, axis=1)  # not stable: equal values come in any order
-    tied = []
+    block = np.argsort(columns, axis=1)
     # One sorted line at a time, so no second (features, rows) array is built.
+    tied = []
     for line, order in zip(columns, block):
         values = line.take(order)
-        ties = values[1:] == values[:-1]
-        tied.append(bool(ties.any()))
-        if tied[-1]:
-            # Keys (value rank, row id) are distinct, so they sort into the stable order.
-            rank = np.zeros(n, dtype=np.int64)
-            np.cumsum(~ties, out=rank[1:])
-            order[:] = np.sort(rank * n + order) % n
+        tied.append(bool((values[1:] == values[:-1]).any()))
     # Row ids in the narrowest type that holds them: blocks take less memory.
     block = block.astype(np.min_scalar_type(-data.n_rows))
     # Labels too: a search compares and gathers one byte per row up to 256 classes.
@@ -366,32 +364,16 @@ def grow_pruned_block(
 
 
 def _least_bound(start: float, target: float, holds) -> float:
-    """The least float from ``start`` up at which ``holds`` is true.
+    """The least float from ``start`` up at which ``holds`` is true, if it is
+    one of the first four; else ``target``.
 
-    ``holds`` must be monotone and true at ``target``.  A few ulp steps
-    usually reach it; past them, bisecting over the floats' ordered bit
-    patterns takes at most 64 more calls, where ulp steps could take
-    billions (after cancellation, ``start`` can be tiny next to ``target``).
+    ``holds`` must be monotone and true at ``target``, and ``start`` at most
+    ``target``.  After cancellation ``start`` can lie billions of ulps below
+    the least float, out of reach of ulp steps; ``target`` is then a looser
+    bound that still holds.
     """
     for _ in range(4):
         if holds(start):
             return start
         start = math.nextafter(start, math.inf)
-    low, high = _ordered(start) - 1, _ordered(target)  # holds fails at low and is true at high
-    while high - low > 1:
-        mid = (low + high) // 2
-        if holds(_from_ordered(mid)):
-            high = mid
-        else:
-            low = mid
-    return _from_ordered(high)
-
-
-def _ordered(x: float) -> int:
-    """An int that orders as ``x`` does among floats, adjacent floats one apart."""
-    bits = struct.unpack("<q", struct.pack("<d", x))[0]
-    return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
-
-
-def _from_ordered(k: int) -> float:
-    return struct.unpack("<d", struct.pack("<q", k if k >= 0 else -k | -(1 << 63)))[0]
+    return target

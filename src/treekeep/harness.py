@@ -480,7 +480,8 @@ def _json_number(key: str, value, kinds=(int, float)):
 
 def _rectangle(obj) -> Rectangle:
     _reject_unknown(obj, [f.name for f in fields(Rectangle)], "rectangle")
-    return Rectangle(tuple(obj["lows"]), tuple(obj["highs"]), _json_number("label", obj["label"], int))
+    lows, highs = (tuple(_json_number(key, v) for v in obj[key]) for key in ("lows", "highs"))
+    return Rectangle(lows, highs, _json_number("label", obj["label"], int))
 
 
 def _dataset_from_ref(ref, base_dir: str) -> tuple[str, Dataset]:
@@ -506,6 +507,10 @@ def _dataset_from_ref(ref, base_dir: str) -> tuple[str, Dataset]:
             raise TypeError(f"has_header must be true or false, got {has_header!r}")
         return name, load_csv(path, ref["label_column"], has_header)
     spec_obj = dict(ref["synthetic"])
+    for key, value in spec_obj.items():
+        if key in ("n_rows", "n_features", "background_label", "seed") or (key == "n_classes" and value is not None):
+            _json_number(key, value, int)
+    _json_number("flip_noise", spec_obj.get("flip_noise", 0.0))
     seed = spec_obj.pop("seed", 0)
     rects = tuple(_rectangle(r) for r in spec_obj.pop("rectangles", []))
     return ref.get("name", "synthetic"), synthetic(SyntheticSpec(rectangles=rects, **spec_obj), seed)

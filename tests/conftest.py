@@ -10,10 +10,12 @@ from typing import Union
 
 import numpy as np
 
-from treekeep import Dataset, GrowthConfig, Leaf, Split, SplitCandidate, grow, load_tree, loss, prune
+from treekeep import Dataset, GrowthConfig, Leaf, Split, SplitCandidate, load_tree, loss
 from treekeep.cli import main
 from treekeep.data import SyntheticSpec, builtin_dataset_path, load_csv, make_batch_plan
 from treekeep.errors import DataLoadError
+from treekeep.grow import grow
+from treekeep.prune import prune
 
 # Seed of the 15-row iris sample: updating its tree on full iris keeps the
 # root split and regrows one lower condition with a shifted threshold.

@@ -22,11 +22,9 @@ from treekeep import (
     LossParams,
     Split,
     change_count,
-    grow,
     loss,
     misclassification_count,
     node_count,
-    prune,
     structural_diff,
     update,
 )
@@ -39,12 +37,14 @@ from treekeep.data import (
     load_manifest,
     synthetic,
 )
+from treekeep.grow import grow
 from treekeep.harness import (
     AlgorithmSpec,
     ExperimentConfig,
     run_experiment,
     summarize,
 )
+from treekeep.prune import prune
 
 MANIFEST_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "manifests")
 

@@ -185,15 +185,16 @@ def test_update_recursion_error_exits_3(tmp_path, capsys, monkeypatch):
     assert "error: tree is nested too deeply to process" in capsys.readouterr().err
 
 
-def blobs(label=1):
+def blobs(label=1, lows=(0, 0), highs=(0.5, 1), **spec):
     return {
         "name": "blobs",
         "synthetic": {
             "n_rows": 300,
             "n_features": 2,
-            "rectangles": [{"lows": [0, 0], "highs": [0.5, 1], "label": label}],
+            "rectangles": [{"lows": list(lows), "highs": list(highs), "label": label}],
             "flip_noise": 0.1,
             "seed": 9,
+            **spec,
         },
     }
 
@@ -289,6 +290,14 @@ def test_eval_unknown_algorithm_lists_names(tmp_path, capsys):
         {"dataset": blobs(label=1.7)},
         {"dataset": blobs(label=True)},
         {"dataset": {"path": "four.csv", "label_column": -1, "has_header": "false"}},
+        {"dataset": blobs(n_rows=300.0)},
+        {"dataset": blobs(n_features=2.0)},
+        {"dataset": blobs(background_label=1.5)},
+        {"dataset": blobs(n_classes=2.0)},
+        {"dataset": blobs(seed=9.0)},
+        {"dataset": blobs(flip_noise=True)},
+        {"dataset": blobs(lows=(True, 0))},
+        {"dataset": blobs(highs=("1", 1))},
     ],
     ids=[
         "max_depth_string",
@@ -308,6 +317,14 @@ def test_eval_unknown_algorithm_lists_names(tmp_path, capsys):
         "rectangle_label_float",
         "rectangle_label_bool",
         "has_header_string",
+        "synthetic_n_rows_float",
+        "synthetic_n_features_float",
+        "background_label_float",
+        "n_classes_float",
+        "synthetic_seed_float",
+        "flip_noise_bool",
+        "rectangle_lows_bool",
+        "rectangle_highs_string",
     ],
 )
 def test_eval_mistyped_config_value_exits_3(tmp_path, capsys, override):

@@ -625,6 +625,24 @@ def test_manifest_missing_fields(tmp_path):
         load_manifest(manifest_path)
 
 
+def test_manifest_rejects_a_mistyped_header_flag_or_label_column(tmp_path):
+    write(tmp_path, "mini.csv", "x,y\n1,0\n2,1\n")
+    fields = '"name": "mini", "url": "https://example.org/mini", "file": "mini.csv"'
+    bad_fields = [
+        '"has_header": "false", "label_column": 1',
+        '"has_header": 0, "label_column": 1',
+        '"label_column": 1.0',
+        '"label_column": true',
+        '"label_column": null',
+    ]
+    for bad in bad_fields:
+        path = write(tmp_path, "mini.json", "{" + fields + ", " + bad + "}")
+        with pytest.raises(DataLoadError, match="has_header|label_column"):
+            load_manifest(path)
+    path = write(tmp_path, "mini.json", "{" + fields + ', "has_header": true, "label_column": "y"}')
+    assert dataset_from_manifest(load_manifest(path)).n_rows == 2
+
+
 SKIN_MANIFEST = os.path.join(os.path.dirname(__file__), os.pardir, "manifests", "skin.json")
 
 

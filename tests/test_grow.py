@@ -1,4 +1,3 @@
-import importlib
 import itertools
 import math
 import tracemalloc
@@ -7,13 +6,20 @@ import numpy as np
 import pytest
 
 from conftest import random_dataset, ref_best_split, ref_gini, ref_misclassified, ref_update
-from treekeep import Dataset, GrowthConfig, Leaf, LossParams, Split, best_split, grow, prune, retrain, update
-from treekeep.grow import _class_sum, _least_bound, grow_pruned, grow_pruned_block, partition, presort, split_search
-from treekeep.prune import _prune
+import treekeep.grow as grow_module
+from treekeep import Dataset, GrowthConfig, Leaf, LossParams, Split, best_split, retrain, update
+from treekeep.grow import (
+    _class_sum,
+    _least_bound,
+    grow,
+    grow_pruned,
+    grow_pruned_block,
+    partition,
+    presort,
+    split_search,
+)
+from treekeep.prune import _prune, prune
 from treekeep.tree import depth, node_count
-
-# The module itself: the package re-exports the function ``grow``.
-GROW_MODULE = importlib.import_module("treekeep.grow")
 
 
 def dataset(x, y, n_classes=2):
@@ -68,6 +74,15 @@ def test_best_split_tie_prefers_lowest_feature():
     assert best_split(data).feature == 0
 
 
+def test_package_attributes_name_the_modules(monkeypatch):
+    import treekeep
+
+    assert treekeep.grow is grow_module
+    assert treekeep.prune._prune is _prune
+    monkeypatch.setattr("treekeep.grow.best_split", lambda data: None)
+    assert grow(FOUR) == Leaf(0)
+
+
 def test_best_split_empty_errors():
     with pytest.raises(ValueError):
         best_split(Dataset(np.zeros((0, 1)), np.zeros(0, dtype=int), 2))
@@ -108,7 +123,7 @@ def test_split_search_equals_per_feature_reference(monkeypatch, lines_per_sweep)
     def sweep_lines(n_rows):
         # 1: one line per sweep, as on large blocks; 2: blocks of 3 or 4 lines take two sweeps.
         if lines_per_sweep is not None:
-            monkeypatch.setattr(GROW_MODULE, "SWEEP_SIZE", lines_per_sweep * n_rows)
+            monkeypatch.setattr(grow_module, "SWEEP_SIZE", lines_per_sweep * n_rows)
 
     rng = np.random.default_rng(35)
     searched = 0
@@ -126,8 +141,10 @@ def test_split_search_equals_per_feature_reference(monkeypatch, lines_per_sweep)
         for (side, side_counts), ids in zip(parts, sides):
             assert side.shape == (data.n_features, ids.size)
             assert np.array_equal(side_counts, np.bincount(data.labels[ids], minlength=data.n_classes))
-            for line in range(data.n_features):  # the side's rows, stably sorted by that feature
-                assert np.array_equal(side[line], ids[np.argsort(data.features[ids, line], kind="stable")])
+            for line in range(data.n_features):  # the side's rows, sorted by that feature
+                assert np.array_equal(np.sort(side[line]), ids)
+                values = data.features[side[line], line]
+                assert np.all(values[:-1] <= values[1:])
             if ids.size:
                 sweep_lines(ids.size)
                 assert bits(split_search(rows, side, side_counts)) == bits(ref_best_split(data.subset(ids)))
@@ -151,18 +168,20 @@ def test_presort_flags_the_tied_lines():
     assert presort(Dataset(np.zeros((3, 0)), np.array([0, 1, 0]), 2))[0].tied == (True,)
 
 
-def test_presort_block_is_the_stable_argsort():
+def test_presort_lines_list_every_row_in_value_order():
     rng = np.random.default_rng(41)
     cases = [rng.random((3000, 2)), rng.integers(0, 8, (3000, 3)).astype(np.float64), rng.random((1, 3))]
     cases.append(np.where(rng.random((2000, 2)) < 0.5, -0.0, 0.0))  # -0.0 and 0.0 are equal values
     cases += [rng.integers(0, 256, (int(rng.integers(1, 300)), 2)).astype(np.float64) for _ in range(20)]
-    unstable = 0
     for features in cases:
         data = Dataset(features, rng.integers(0, 2, features.shape[0]), 2)
-        stable = np.argsort(features.T, axis=1, kind="stable")
-        assert np.array_equal(presort(data)[1], stable)
-        unstable += not np.array_equal(np.argsort(features.T, axis=1), stable)
-    assert unstable >= 2  # numpy's default sort did reorder equal values
+        rows, block, counts = presort(data)
+        assert block.shape == features.T.shape
+        assert np.array_equal(counts, np.bincount(data.labels, minlength=2))
+        for line, column in zip(block, features.T):
+            assert np.array_equal(np.sort(line), np.arange(data.n_rows))
+            assert np.all(column[line][:-1] <= column[line][1:])
+        assert rows.tied == tuple(len(set(column.tolist())) < data.n_rows for column in features.T)
 
 
 def test_split_search_memory_does_not_grow_with_the_class_count():
@@ -331,7 +350,7 @@ def test_grow_pruned_bound_cuts_searches(monkeypatch):
     data = noisy_dataset(np.random.default_rng(37), 1000)
     searched = []
     monkeypatch.setattr(
-        GROW_MODULE,
+        grow_module,
         "split_search",
         lambda rows, block, counts: searched.append(block) or split_search(rows, block, counts),
     )
@@ -344,7 +363,17 @@ def test_grow_pruned_bound_cuts_searches(monkeypatch):
     assert fused == 67 < len(searched)
 
 
-def test_least_bound_bisects_past_a_cancelled_start():
+def least_positive_float(holds, high):
+    """The least positive float at which a monotone ``holds`` is true, by
+    bisection over the bit patterns, which order as positive floats do."""
+    low, high = 0, int(np.float64(high).view(np.int64))  # holds(+0.0) fails
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (low, mid) if holds(float(np.int64(mid).view(np.float64))) else (mid, high)
+    return float(np.int64(high).view(np.float64))
+
+
+def test_least_bound_falls_back_to_target_past_a_cancelled_start():
     # The left bound's start, target - p - LB(right), cancels to 1.23e-14
     # against a target near 1e-3: the least bound lies about 8.6e9 ulps of
     # the start above it, out of reach of ulp steps.
@@ -359,17 +388,22 @@ def test_least_bound_bisects_past_a_cancelled_start():
         return p + lb + sibling >= target
 
     bound = _least_bound(start, target, holds)
-    assert len(calls) <= 70
-    assert holds(bound) and not holds(math.nextafter(bound, -math.inf))
-    assert (bound - start) / math.ulp(start) > 1e9
-    # Starts that already hold, or hold a few ulps up, need no bisection.
-    assert _least_bound(bound, target, holds) == bound
-    near = math.nextafter(math.nextafter(bound, 0.0), 0.0)
-    assert _least_bound(near, target, holds) == bound
+    assert len(calls) <= 5
+    assert holds(bound) and bound <= target
+    assert bound == target
+    # A start that holds, or holds within a few ulps, gives the least float.
+    least = least_positive_float(holds, target)
+    assert (least - start) / math.ulp(start) > 1e9
+    assert not holds(math.nextafter(least, 0.0))
+    near = least
+    for _ in range(4):
+        assert _least_bound(near, target, holds) == least
+        near = math.nextafter(near, 0.0)
+    assert _least_bound(near, target, holds) == target
     # Across zero and from below it.
-    assert _least_bound(-1.0, 0.0, lambda x: x >= 0.0) == 0.0
-    assert _least_bound(-1.0, 1.0, lambda x: x > 0.0) == 5e-324
-    assert _least_bound(-1.0, 1.0, lambda x: x >= -0.5) == -0.5
+    assert _least_bound(-5e-324, 1.0, lambda x: x > 0.0) == 5e-324
+    assert _least_bound(math.nextafter(-0.5, -1.0), 1.0, lambda x: x >= -0.5) == -0.5
+    assert _least_bound(-1.0, 1.0, lambda x: x >= -0.5) == 1.0
 
 
 def test_grow_pruned_node_price_rounding_to_inf():
@@ -390,7 +424,7 @@ def test_grow_pruned_stops_early_at_m_equal_2p(monkeypatch, p, m, x, y):
     data = dataset(x, y)
     searched = []
     monkeypatch.setattr(
-        GROW_MODULE,
+        grow_module,
         "split_search",
         lambda rows, block, counts: searched.append(block) or split_search(rows, block, counts),
     )
@@ -417,7 +451,7 @@ def counting_partitions(monkeypatch):
         partitioned.append(block)
         return partition(rows, block, counts, feature, threshold)
 
-    monkeypatch.setattr(GROW_MODULE, "partition", recording_partition)
+    monkeypatch.setattr(grow_module, "partition", recording_partition)
     return partitioned
 
 

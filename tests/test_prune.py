@@ -7,11 +7,11 @@ from treekeep import (
     Leaf,
     LossParams,
     Split,
-    grow,
     loss,
     node_count,
-    prune,
 )
+from treekeep.grow import grow
+from treekeep.prune import prune
 
 STUMP = Split(0, 2.5, Leaf(0), Leaf(1))
 

@@ -14,22 +14,21 @@ from treekeep import (
     Split,
     best_split,
     change_count,
-    grow,
     keep_original,
     loss,
     node_count,
-    prune,
     retrain,
     similarity,
     structural_diff,
     update,
 )
 from treekeep.errors import InputShapeError
-from treekeep.grow import grow_pruned, presort, split_search
+from treekeep.grow import grow, grow_pruned, presort, split_search
+from treekeep.prune import prune
 from treekeep.tree import node_at
 
-# The modules, not the functions the package re-exports under the same names.
 GROW_MODULE = importlib.import_module("treekeep.grow")
+# The module, not the function the package re-exports under the same name.
 UPDATE_MODULE = importlib.import_module("treekeep.update")
 
 STUMP = Split(0, 2.5, Leaf(0), Leaf(1))
