@@ -151,30 +151,17 @@ def _row_cells(path, row_no: int, line: str) -> list[str]:
         raise DataLoadError(f"{path}, row {row_no}: {exc}") from None
 
 
-def _quote_free_columns(lines: list[str], n_cols: int):
-    """The chunk's columns from one ``str.split``, or None unless every line
-    has ``n_cols - 1`` commas and no quote: the csv reader would split such
-    lines at every comma too."""
-    text = ",".join(lines)
-    if n_cols < 2 or '"' in text or any(line.count(",") != n_cols - 1 for line in lines):
-        return None
-    cells = text.split(",")
-    return [cells[col::n_cols] for col in range(n_cols)]
-
-
 def _parse_chunk(lines, n_cols, label_idx, out):
     """Parse a chunk into ``out`` one column at a time and return its label
     cells; return None if a row is faulty or the csv reader fails on a line
     (``out`` is then partly written)."""
-    columns = _quote_free_columns(lines, n_cols)
-    if columns is None:
-        try:
-            rows = [_split_line(line) for line in lines]
-        except csv.Error:
-            return None
-        if any(len(cells) != n_cols for cells in rows):
-            return None
-        columns = list(zip(*rows))
+    try:
+        rows = [_split_line(line) for line in lines]
+    except csv.Error:
+        return None
+    if any(len(cells) != n_cols for cells in rows):
+        return None
+    columns = list(zip(*rows))
     feature_columns = (col for col in range(n_cols) if col != label_idx)
     try:
         for j, col in enumerate(feature_columns):

@@ -136,8 +136,6 @@ def presort(data: Dataset) -> tuple[Presorted, np.ndarray, np.ndarray]:
     them: no cut falls between equal values, so the order of a tie decides
     no split."""
     columns = np.ascontiguousarray(data.features.T)
-    if columns.shape[0] == 0:  # one constant line lists the rows and never splits
-        columns = np.zeros((1, data.n_rows))
     block = np.argsort(columns, axis=1)
     # One sorted line at a time, so no second (features, rows) array is built.
     tied = []

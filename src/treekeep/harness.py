@@ -25,7 +25,6 @@ import numpy as np
 
 from . import __version__
 from .data import (
-    BatchPlan,
     Dataset,
     SyntheticSpec,
     Rectangle,
@@ -128,11 +127,7 @@ def _row_order(row) -> tuple:
     return (row.dataset, row.algorithm, row.alpha, beta, getattr(row, "run", 0), row.batch)
 
 
-def _train_step(
-    algorithm: AlgorithmSpec, t: int, prev: Optional[Tree], train: Dataset, growth: GrowthConfig
-) -> Tree:
-    if t == 0:
-        return retrain(train, LossParams(algorithm.alpha, 0.0), growth)
+def _train_step(algorithm: AlgorithmSpec, prev: Optional[Tree], train: Dataset, growth: GrowthConfig) -> Tree:
     if algorithm.name == "keep_regrow":
         return update(prev, train, LossParams(algorithm.alpha, algorithm.beta), growth)
     if algorithm.name == "retrain":
@@ -148,71 +143,94 @@ def archive_name(record: RunRecord) -> str:
     )
 
 
-def _plan(config: ExperimentConfig, run: int) -> BatchPlan:
-    """Run ``run``'s batches and test set: they depend on the dataset, the
-    sizes and (seed, run) only, not on the algorithm."""
-    return make_batch_plan(
-        config.dataset,
-        config.n_batches,
-        config.batch_size,
-        config.test_size,
-        (config.seed, run),
-    )
+def _timed(step, *args):
+    """``step(*args)`` and its wall time in milliseconds."""
+    started = time.perf_counter()
+    result = step(*args)
+    return result, (time.perf_counter() - started) * 1000.0
 
 
-def _run_single(
-    config: ExperimentConfig,
-    run: int,
-    plan: BatchPlan,
-    archive_dir: Optional[str],
-    max_batches: Optional[int] = None,
-) -> list[RunRecord]:
-    n_steps = plan.n_batches if max_batches is None else min(max_batches, plan.n_batches)
-    test = plan.test
+def _run_tracks(
+    config: ExperimentConfig, tracks: Sequence[tuple[AlgorithmSpec, range]], archive_dir: Optional[str]
+) -> tuple[list[RunRecord], int]:
+    """Every run of ``tracks``, canonically sorted, and the rows each run's test set holds.
+
+    A track is an algorithm and the batches it records; it steps from batch
+    0 to the last of them, or to the plan's last batch if the data runs
+    short.  Each run draws its plan once and trains its batch-0 tree (a
+    retrain) once per alpha; every track at that alpha continues from it.
+    """
     records = []
-    prev: Optional[Tree] = None
-    pred = None  # prev's class for every test row
-    for t in range(n_steps):
-        train = plan.cumulative(t)
-        started = time.perf_counter()
-        tree = _train_step(config.algorithm, t, prev, train, config.growth)
-        elapsed_ms = (time.perf_counter() - started) * 1000.0
-        delta = sim = report = None
-        if t > 0:
-            report = structural_diff(prev, tree)
-            delta, sim = report.delta, report.similarity
-        accuracy = None
-        if test.n_rows:
-            # Rows that reach no changed node keep the previous tree's class.
-            pred = repredict(tree, test.features, pred, report)
-            accuracy = 1.0 - int(np.sum(pred != test.labels)) / test.n_rows
-        record = RunRecord(
-            dataset=config.dataset_name,
-            algorithm=config.algorithm.name,
-            alpha=config.algorithm.alpha,
-            beta=config.algorithm.beta if config.algorithm.name == "keep_regrow" else None,
-            run=run,
-            batch=t,
-            accuracy=accuracy,
-            nodes=node_count(tree),
-            delta=delta,
-            similarity=sim,
-            wall_time_ms=elapsed_ms,
+    for run in range(config.n_runs):
+        # The batches and test set depend on the dataset, the sizes and (seed, run) only.
+        plan = make_batch_plan(
+            config.dataset, config.n_batches, config.batch_size, config.test_size, (config.seed, run)
         )
-        if archive_dir is not None:
-            save_tree(tree, os.path.join(archive_dir, archive_name(record)))
-        records.append(record)
-        prev = tree
-    return records
+        test = plan.test
+        roots = {}  # alpha -> (batch-0 tree, its wall time)
+        for algorithm, recorded in tracks:
+            if algorithm.alpha not in roots:
+                params = LossParams(algorithm.alpha, 0.0)
+                roots[algorithm.alpha] = _timed(retrain, plan.cumulative(0), params, config.growth)
+            tree, elapsed_ms = roots[algorithm.alpha]
+            # Predicted per track, not kept with the root: a stream then holds
+            # at most two arrays of test classes at once.
+            pred = repredict(tree, test.features) if test.n_rows else None
+            delta = sim = None
+            for t in range(min(recorded.stop, plan.n_batches)):
+                if t > 0:
+                    prev = tree
+                    tree, elapsed_ms = _timed(_train_step, algorithm, prev, plan.cumulative(t), config.growth)
+                    report = structural_diff(prev, tree)
+                    delta, sim = report.delta, report.similarity
+                    if pred is not None:
+                        # Rows that reach no changed node keep the previous tree's class.
+                        pred = repredict(tree, test.features, pred, report)
+                record = RunRecord(
+                    dataset=config.dataset_name,
+                    algorithm=algorithm.name,
+                    alpha=algorithm.alpha,
+                    beta=algorithm.beta if algorithm.name == "keep_regrow" else None,
+                    run=run,
+                    batch=t,
+                    accuracy=None if pred is None else 1.0 - int(np.sum(pred != test.labels)) / test.n_rows,
+                    nodes=node_count(tree),
+                    delta=delta,
+                    similarity=sim,
+                    wall_time_ms=elapsed_ms,
+                )
+                if archive_dir is not None:
+                    save_tree(tree, os.path.join(archive_dir, archive_name(record)))
+                if t in recorded:
+                    records.append(record)
+    records.sort(key=_row_order)
+    return records, test.n_rows
+
+
+def _sweep_tracks(
+    config: ExperimentConfig, alphas: Sequence[float], betas: Sequence[float]
+) -> list[tuple[AlgorithmSpec, range]]:
+    """``sweep``'s tracks: batch 0 at each alpha, then batch 1 at each beta and of each baseline."""
+    if not alphas and not betas:
+        raise ConfigError("sweep needs at least one alpha or beta value")
+    if betas and config.n_batches < 2:
+        raise ConfigError("a beta sweep needs n_batches >= 2")
+    for name, grid in (("alphas", alphas), ("betas", betas)):
+        # Equal values would count as one cell's runs twice over; values that
+        # print alike would write one tree file name.
+        if len(set(grid)) < len(grid) or len({f"{v:g}" for v in grid}) < len(grid):
+            raise ConfigError(f"sweep {name} must differ and print differently (as with %g): {list(grid)}")
+    tracks = [(AlgorithmSpec("retrain", alpha=alpha), range(1)) for alpha in alphas]
+    if betas:
+        fixed_alpha = config.algorithm.alpha
+        tracks += [(AlgorithmSpec("keep_regrow", fixed_alpha, beta), range(1, 2)) for beta in betas]
+        tracks += [(AlgorithmSpec(baseline, fixed_alpha), range(1, 2)) for baseline in ("retrain", "keep_original")]
+    return tracks
 
 
 def run_experiment(config: ExperimentConfig, archive_dir: Optional[str] = None) -> list[RunRecord]:
     """All runs of one algorithm over the batch stream; canonically sorted."""
-    records = []
-    for run in range(config.n_runs):
-        records.extend(_run_single(config, run, _plan(config, run), archive_dir))
-    records.sort(key=_row_order)
-    return records
+    return _run_tracks(config, [(config.algorithm, range(config.n_batches))], archive_dir)[0]
 
 
 def sweep(
@@ -226,31 +244,13 @@ def sweep(
     The alpha sweep prunes the very first batch's tree at each alpha (no
     updating involved, batch 0 only).  The beta sweep holds alpha at the
     config's value and records batch-1 metrics for each beta, alongside the
-    retrain and keep-original baseline rows for the same batch.
+    retrain and keep-original baseline rows for the same batch.  Equal
+    values in one grid, or values that print alike, raise ``ConfigError``.
 
-    Each run draws its plan once and runs every swept config on it, one run
-    at a time, so only one plan is held at once.
+    Each run draws its plan once and trains its batch-0 tree once per alpha,
+    one run at a time, so only one plan is held at once.
     """
-    if not alphas and not betas:
-        raise ConfigError("sweep needs at least one alpha or beta value")
-    if betas and config.n_batches < 2:
-        raise ConfigError("a beta sweep needs n_batches >= 2")
-    # Each swept config with the one batch whose rows it records.
-    steps = [(AlgorithmSpec("retrain", alpha=alpha), 0) for alpha in alphas]
-    if betas:
-        fixed_alpha = config.algorithm.alpha
-        steps += [(AlgorithmSpec("keep_regrow", fixed_alpha, beta), 1) for beta in betas]
-        steps += [(AlgorithmSpec(baseline, fixed_alpha), 1) for baseline in ("retrain", "keep_original")]
-    records: list[RunRecord] = []
-    for run in range(config.n_runs):
-        plan = _plan(config, run)
-        for algorithm, step in steps:
-            cfg = replace(config, algorithm=algorithm)
-            records.extend(
-                r for r in _run_single(cfg, run, plan, archive_dir, max_batches=step + 1) if r.batch == step
-            )
-    records.sort(key=_row_order)
-    return records
+    return _run_tracks(config, _sweep_tracks(config, alphas, betas), archive_dir)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -396,16 +396,15 @@ def run_eval(
     manifest.json, and one tree file per (run, batch) under trees/.
     """
     started = time.perf_counter()
+    if alphas is not None or betas is not None:
+        tracks, mode = _sweep_tracks(config, alphas or (), betas or ()), "sweep"
+    else:
+        tracks, mode = [(config.algorithm, range(config.n_batches))], "stream"
     trees_dir = os.path.join(out_dir, "trees")
     os.makedirs(trees_dir, exist_ok=True)
-    if alphas is not None or betas is not None:
-        records = sweep(config, alphas or (), betas or (), archive_dir=trees_dir)
-        mode = "sweep"
-    else:
-        records = run_experiment(config, archive_dir=trees_dir)
-        mode = "stream"
+    records, test_rows = _run_tracks(config, tracks, trees_dir)
     write_results(records, os.path.join(out_dir, "results.csv"))
-    rows = summarize(records, config.test_size)
+    rows = summarize(records, test_rows)
     _write_csv(rows, SUMMARY_COLUMNS, os.path.join(out_dir, "summary.csv"))
     _write_csv(records, TIMING_COLUMNS, os.path.join(out_dir, "timings.csv"))
     manifest = {

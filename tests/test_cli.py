@@ -1,9 +1,10 @@
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
-from treekeep import Leaf, Split, load_tree, save_tree
+from treekeep import Leaf, LossParams, Split, load_csv, load_tree, retrain, save_tree, update
 from conftest import iris_walkthrough, right_chain_document
 from treekeep.cli import main
 
@@ -33,6 +34,22 @@ def test_grow_pure_labels_single_leaf(tmp_path, capsys):
     out = tmp_path / "tree.json"
     assert main(["grow", "--data", str(data), "--out", str(out)]) == 0
     assert load_tree(out) == Leaf(0)
+
+
+def test_label_only_data_gives_a_single_leaf(tmp_path):
+    # No feature column: there is nothing to split on, even at alpha 0.
+    data = tmp_path / "labels.csv"
+    data.write_text("0\n1\n1\n")
+    dataset = load_csv(str(data), -1)
+    assert dataset.n_features == 0
+    params = LossParams(0.0, 0.0)
+    assert retrain(dataset, params) == Leaf(1)
+    assert update(Leaf(0), dataset, params) == Leaf(1)
+    out, updated = tmp_path / "tree.json", tmp_path / "updated.json"
+    assert main(["grow", "--data", str(data), "--alpha", "0", "--out", str(out)]) == 0
+    assert load_tree(out) == Leaf(1)
+    assert main(["update", "--data", str(data), "--prev-tree", str(out), "--alpha", "0", "--out", str(updated)]) == 0
+    assert load_tree(updated) == Leaf(1)
 
 
 def test_grow_missing_file_exits_nonzero(tmp_path, capsys):
@@ -229,7 +246,7 @@ def test_eval_writes_results(tmp_path, capsys):
 def test_eval_config_may_begin_with_a_utf8_byte_order_mark(tmp_path):
     cfg = eval_config(tmp_path, n_runs=1)
     marked = tmp_path / "marked.json"
-    marked.write_bytes(b"\xef\xbb\xbf" + open(cfg, "rb").read())
+    marked.write_bytes(b"\xef\xbb\xbf" + Path(cfg).read_bytes())
     out_plain, out_marked = tmp_path / "plain", tmp_path / "marked"
     assert main(["eval", "--config", cfg, "--out-dir", str(out_plain)]) == 0
     assert main(["eval", "--config", str(marked), "--out-dir", str(out_marked)]) == 0
@@ -338,6 +355,12 @@ def test_eval_unknown_dataset_key_exits_3(tmp_path, capsys):
     cfg = eval_config(tmp_path, dataset={"builtin": "iris", "nmae": "flowers"})
     assert main(["eval", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 3
     assert "nmae" in capsys.readouterr().err
+
+
+def test_eval_sweep_with_equal_grid_values_exits_3(tmp_path, capsys):
+    cfg = eval_config(tmp_path, sweep={"alphas": [1, 1.0]})
+    assert main(["eval", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 3
+    assert "sweep alphas" in capsys.readouterr().err
 
 
 def test_eval_malformed_config_reports_position(tmp_path, capsys):

@@ -165,7 +165,7 @@ def test_presort_flags_the_tied_lines():
         assert rows.tied == tuple(shared)
         seen.update(shared)
     assert seen == {False, True}
-    assert presort(Dataset(np.zeros((3, 0)), np.array([0, 1, 0]), 2))[0].tied == (True,)
+    assert presort(Dataset(np.zeros((3, 0)), np.array([0, 1, 0]), 2))[0].tied == ()  # no line, nothing tied
 
 
 def test_presort_lines_list_every_row_in_value_order():

@@ -1,3 +1,4 @@
+import csv
 import importlib
 import json
 import re
@@ -190,6 +191,50 @@ def test_sweep_draws_one_plan_per_run(monkeypatch):
     assert len(records) == 3 * (3 + 3 + 2)
 
 
+def test_sweep_trains_batch_0_once_per_alpha(monkeypatch):
+    # The config's alpha is one of the swept ones: the beta grid and the
+    # baselines continue from the alpha sweep's batch-0 tree.
+    config = make_config(alpha=1.0, n_runs=3)
+    batch_0_alphas = []
+    retrain = HARNESS_MODULE.retrain
+
+    def counted_retrain(data, params, *args):
+        if data.n_rows == config.batch_size:
+            batch_0_alphas.append(params.alpha)
+        return retrain(data, params, *args)
+
+    monkeypatch.setattr(HARNESS_MODULE, "retrain", counted_retrain)
+    sweep(config, alphas=[0.0, 1.0, 5.0], betas=[0.0, 1.0, 100.0])
+    assert sorted(batch_0_alphas) == [0.0] * 3 + [1.0] * 3 + [5.0] * 3
+
+
+@pytest.mark.parametrize(
+    "alphas, betas",
+    [([1.0, 1.0], []), ([0.0, -0.0], []), ([0.1, 0.1000001], []), ([], [2.0, 2.0]), ([1.0], [1e-7, 1.00000001e-7])],
+    ids=["equal", "signed_zeros", "print_alike", "equal_betas", "betas_print_alike"],
+)
+def test_sweep_rejects_a_grid_with_equal_or_alike_printed_values(tmp_path, alphas, betas):
+    # Equal values would count one cell's runs twice; values that print
+    # alike would write their trees to one file name.
+    with pytest.raises(ConfigError, match="alphas" if len(alphas) > 1 else "betas"):
+        run_eval(make_config(), tmp_path / "exp", alphas=alphas, betas=betas)
+    assert not (tmp_path / "exp").exists()
+
+
+def test_summary_ci_uses_the_test_rows_the_plan_holds(tmp_path):
+    # 400 rows hold 10 batches of 30, leaving 100 rows for a test set of 1000.
+    config = make_config(n_batches=10, batch_size=30, test_size=1000)
+    with pytest.warns(UserWarning, match="test set"):
+        run_eval(config, tmp_path / "exp")
+    with open(tmp_path / "exp" / "summary.csv", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 10
+    for row in rows:
+        p = float(row["accuracy_mean"])
+        assert 0.0 < p < 1.0  # so the 1000-row half-width differs
+        assert float(row["accuracy_ci95"]) == accuracy_ci_halfwidth(p, 100)
+
+
 def test_sweep_warns_once_per_run_when_the_data_runs_short():
     # 400 rows hold 13 batches of 30, leaving 10 rows for a test set of 60.
     config = make_config(n_runs=2, n_batches=20, batch_size=30, test_size=60)
@@ -247,7 +292,8 @@ def test_run_eval_predicts_again_only_under_changed_nodes(tmp_path, monkeypatch,
             rows_at_leaves[-1] += idx.size
         predict_into(node, features, idx, out)
 
-    def flagged_repredict(*args):
+    def flagged_repredict(*args):  # the stream scores each record once
+        rows_at_leaves.append(0)
         scoring.append(True)
         try:
             return repredict(*args)
@@ -257,13 +303,6 @@ def test_run_eval_predicts_again_only_under_changed_nodes(tmp_path, monkeypatch,
     for module in ("treekeep.tree", "treekeep.loss"):
         monkeypatch.setattr(importlib.import_module(module), "_predict_into", counted_predict_into)
     monkeypatch.setattr(HARNESS_MODULE, "repredict", flagged_repredict)
-    train_step = HARNESS_MODULE._train_step
-
-    def counted_train_step(*args):
-        rows_at_leaves.append(0)
-        return train_step(*args)
-
-    monkeypatch.setattr(HARNESS_MODULE, "_train_step", counted_train_step)
     config = make_config(algorithm, alpha=0.5, n_runs=3, n_batches=5, batch_size=40, test_size=100)
     out = tmp_path / "exp"
     records = run_eval(config, out)
