@@ -10,16 +10,18 @@ are then a block: an ``(n_features, n_rows)`` array of row ids whose line
 ``j`` lists the node's rows in order of feature ``j``.  Rows with equal
 values keep the order ``presort`` gave them; no split depends on it, as no
 cut falls between equal values.  A block always travels with its class
-counts.  ``presort`` counts the whole dataset once, and below the root only
-``partition`` counts: it splits a block with one boolean mask over the
-flattened block, counts the left side's first line, and hands the right
-side the parent's counts minus those.  The filter is stable, so every line
-of both sides stays sorted, and no node sorts or copies features.
-``split_search`` scores the candidates of many features in one vectorised
-sweep, with the arithmetic of a per-feature search; ``best_split`` is that
-search on a freshly presorted dataset.  A sweep scores the whole position
-grid, the cut after every row of every line but the last row, and masks out
-the positions between equal values rather than listing the true cuts; its
+counts, a list of ints.  ``presort`` counts the whole dataset once, and
+below the root the search counts: ``split_search`` returns, with its best
+cut, the class counts of the rows left of it, which it reads off the labels
+it has already gathered, and the right side gets the block's counts minus
+those.  ``partition`` builds one side of a split block with one boolean mask
+over the flattened block.  The filter is stable, so every line of the side
+stays sorted, and no node sorts or copies features.  ``split_search``
+scores the candidates of many features in one vectorised sweep, with the
+arithmetic of a per-feature search; ``best_split`` is that search on a
+freshly presorted dataset.  A sweep scores the whole position grid, the cut
+after every row of every line but the last row, and masks out the
+positions between equal values rather than listing the true cuts; its
 class counts are cumulated from labels stored in the narrowest unsigned
 type that holds them (one byte up to 256 classes).  Only a feature with
 two equal values anywhere (``Presorted.tied``) can have equal neighbours in
@@ -28,8 +30,11 @@ their values.
 
 ``grow_pruned`` fuses ``grow`` with ``prune.prune`` into one recursion over
 blocks for ``update`` and ``retrain``; each call takes its block's counts
-from the partition that made it.  It returns the very tree, and the very
-float cost, that growing and then pruning would, but it searches less:
+from its parent's search.  A node's leaf, early stop, room and bound need
+only those counts, so a child's block is built only when the child is
+searched or looked up in the memo; a left child that fails its bound spares
+the right side's block altogether.  The pass returns the very tree, and the
+very float cost, that growing and then pruning would, but it searches less:
 
 * Exact early stop: a node whose majority class misclassifies ``m`` rows
   with ``m <= 2p`` (``p`` the price of a node) becomes a leaf without a
@@ -38,8 +43,9 @@ float cost, that growing and then pruning would, but it searches less:
   costs ``m + p`` with ``m <= p + p``, and ties terminate; so pruning would
   have cut the split anyway.  The code tests ``p + p + p >= target``, the
   bound's form of this stop, which also covers a pure node.
-* Split memo: searches are kept by the first and last row id of each line
-  of the block.  Those ids give the partition's tight bounding box.  Every
+* Split memo: searches, with the class counts left of their cut, are kept
+  by the first and last row id of each line of the block.  Those ids give
+  the partition's tight bounding box.  Every
   partition one ``update`` searches is its data cut by an axis-aligned box,
   and the tight box of such a partition picks out exactly its rows again,
   so the key is exact and does not depend on the node's level.  One update
@@ -84,7 +90,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from functools import partial
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -126,11 +133,12 @@ class Presorted(NamedTuple):
     labels: np.ndarray  # class index by row id, in the narrowest unsigned type (uint8 up to 256 classes)
     n_classes: int
     tied: tuple  # one bool per line: do two rows share a value?
+    sizes: np.ndarray  # 1.0, 2.0, ..., n_rows - 1.0: the rows on one side of each cut
 
 
-def presort(data: Dataset) -> tuple[Presorted, np.ndarray, np.ndarray]:
+def presort(data: Dataset) -> tuple[Presorted, np.ndarray, list]:
     """Sort every feature once; return the layout, the block of all rows and
-    its class counts.
+    its class counts, as ints.
 
     Rows with equal values come in whatever order ``np.argsort`` leaves
     them: no cut falls between equal values, so the order of a tie decides
@@ -146,21 +154,18 @@ def presort(data: Dataset) -> tuple[Presorted, np.ndarray, np.ndarray]:
     block = block.astype(np.min_scalar_type(-data.n_rows))
     # Labels too: a search compares and gathers one byte per row up to 256 classes.
     labels = data.labels.astype(np.min_scalar_type(data.n_classes - 1))
-    counts = np.bincount(data.labels, minlength=data.n_classes)
-    return Presorted(columns, labels, data.n_classes, tuple(tied)), block, counts
+    counts = np.bincount(data.labels, minlength=data.n_classes).tolist()
+    sizes = np.arange(1.0, data.n_rows)
+    return Presorted(columns, labels, data.n_classes, tuple(tied), sizes), block, counts
 
 
-def partition(rows: Presorted, block: np.ndarray, counts: np.ndarray, feature: int, threshold: float):
-    """Split a block with its class counts into ``(left, left_counts), (right,
-    right_counts)``: value <= threshold, then value > threshold, lines still
-    sorted.  The left side's first line is counted once; the right side gets
-    the rest of ``counts``."""
+def partition(rows: Presorted, block: np.ndarray, feature: int, threshold: float, left: bool, n: int) -> np.ndarray:
+    """One side of a split block, the ``n`` rows with value <= threshold if
+    ``left``, else those above it.  One mask over the flattened block picks
+    them; the filter is stable, so every line stays sorted."""
     flat = block.ravel()
-    goes_left = rows.columns[feature].take(flat) <= threshold
-    n_lines, n_left = block.shape[0], int(np.count_nonzero(goes_left[: block.shape[1]]))
-    left = flat.compress(goes_left).reshape(n_lines, n_left)
-    left_counts = np.bincount(rows.labels.take(left[0]), minlength=rows.n_classes)
-    return (left, left_counts), (flat.compress(~goes_left).reshape(n_lines, -1), counts - left_counts)
+    values = rows.columns[feature].take(flat)
+    return flat.compress(values <= threshold if left else values > threshold).reshape(block.shape[0], n)
 
 
 def _class_sum(term, first: int, n: int):
@@ -191,8 +196,9 @@ def _class_sum(term, first: int, n: int):
 SWEEP_SIZE = 1 << 14
 
 
-def split_search(rows: Presorted, block: np.ndarray, counts: np.ndarray) -> Optional[SplitCandidate]:
-    """Best Gini split of a block's rows over all features, or None if nothing strictly helps.
+def split_search(rows: Presorted, block: np.ndarray, counts: list) -> tuple[Optional[SplitCandidate], Optional[list]]:
+    """Best Gini split of a block's rows over all features, and the class
+    counts of its left side as ints; ``(None, None)`` if nothing strictly helps.
 
     ``counts`` are the block's class counts, which give the parent's Gini.
     Lines are scored together, as many per sweep as ``SWEEP_SIZE`` allows,
@@ -209,40 +215,39 @@ def split_search(rows: Presorted, block: np.ndarray, counts: np.ndarray) -> Opti
     """
     n_lines, n = block.shape
     if n < 2:
-        return None
-    total = counts.astype(np.float64)
-    shares = [c / n for c in total.tolist()]  # squared and summed as np.sum would, without its dispatch
+        return None, None
+    shares = [c / n for c in counts]  # squared and summed as np.sum would, without its dispatch
     parent = 1.0 - _class_sum(lambda c: shares[c] * shares[c], 0, rows.n_classes)
-    sizes = np.empty((2, 1, n - 1))  # rows left and right of each position
-    sizes[0, 0] = np.arange(1, n)
-    np.subtract(n, sizes[0], out=sizes[1])
+    # Rows left and right of each position: 1, ..., n - 1 and n - 1, ..., 1.
+    sizes = np.concatenate((rows.sizes[: n - 1], rows.sizes[n - 2 :: -1])).reshape(2, 1, n - 1)
     step = max(1, SWEEP_SIZE // n)
-    best: Optional[SplitCandidate] = None
+    best = best_left = None
     for first in range(0, n_lines, step):
-        cand = _sweep(rows, block[first : first + step], first, total, parent, sizes)
+        cand, left = _sweep(rows, block[first : first + step], first, counts, parent, sizes)
         if cand is not None and (best is None or cand.decrease > best.decrease):
-            best = cand
-    return best
+            best, best_left = cand, left
+    return best, best_left
 
 
-def _sweep(
-    rows: Presorted, lines: np.ndarray, first: int, total: np.ndarray, parent: float, sizes: np.ndarray
-):
+def _sweep(rows: Presorted, lines: np.ndarray, first: int, counts: list, parent: float, sizes: np.ndarray):
     """The best split among ``lines``, the block's lines from feature ``first``
-    on; ``sizes`` holds the rows left and right of each position."""
+    on, and its left side's class counts; ``sizes`` holds the rows left and
+    right of each position."""
     n_lines, n = lines.shape
     labels = rows.labels.take(lines[:, :-1])  # the last row is left of no position
-    taken = np.zeros((n_lines, n - 1))  # rows left of each position in the classes so far
+    last = rows.n_classes - 1
+    taken = 0.0  # rows left of each position in the classes so far
 
     def squared_shares(c):  # _class_sum asks for c = 0, 1, ... in turn
-        shares = np.empty((2, n_lines, n - 1))
-        if c < rows.n_classes - 1:
-            np.cumsum(labels == c, axis=1, dtype=np.float64, out=shares[0])
-            np.add(taken, shares[0], out=taken)
+        nonlocal taken
+        sides = np.empty((2, n_lines, n - 1))  # the class's rows left and right of each position
+        if c < last:
+            np.add.accumulate(labels == c, axis=1, dtype=np.float64, out=sides[0])
+            taken = sides[0] if c == 0 else taken + sides[0]
         else:  # the last class holds every row the others do not
-            np.subtract(sizes[0], taken, out=shares[0])
-        np.subtract(total[c], shares[0], out=shares[1])
-        np.divide(shares, sizes, out=shares)
+            np.subtract(sizes[0], taken, out=sides[0])
+        np.subtract(float(counts[c]), sides[0], out=sides[1])
+        shares = np.divide(sides, sizes)
         return np.square(shares, out=shares)
 
     gini = _class_sum(squared_shares, 0, rows.n_classes)  # every term is a new array, so this one is ours
@@ -257,21 +262,23 @@ def _sweep(
         values = rows.columns.take(lines + starts[:, None])
         decrease[values[:, :-1] == values[:, 1:]] = -np.inf  # no cut between equal values
     best = int(decrease.argmax())  # first max: lowest feature, then lowest threshold
+    gain = decrease.item(best)
+    if gain <= 0.0:
+        return None, None
     j, cut = divmod(best, n - 1)
-    if decrease[j, cut] <= 0.0:
-        return None
-    lo, hi = rows.columns[first + j].take(lines[j, cut : cut + 2])
+    lo, hi = rows.columns[first + j].take(lines[j, cut : cut + 2]).tolist()
     threshold = (lo + hi) / 2.0
     if threshold >= hi:  # midpoint rounded up between adjacent floats
         threshold = lo
-    return SplitCandidate(first + j, float(threshold), float(decrease[j, cut]))
+    left_counts = np.bincount(labels[j, : cut + 1], minlength=rows.n_classes).tolist()
+    return SplitCandidate(first + j, threshold, gain), left_counts
 
 
 def best_split(data: Dataset) -> Optional[SplitCandidate]:
     """Best Gini split over all features, or None if nothing strictly helps."""
     if data.n_rows == 0:
         raise ValueError("best_split requires a non-empty dataset")
-    return split_search(*presort(data))
+    return split_search(*presort(data))[0]
 
 
 def grow(data: Dataset, config: GrowthConfig = GrowthConfig()) -> Tree:
@@ -311,45 +318,51 @@ def grow_pruned(data: Dataset, config: GrowthConfig, params: LossParams) -> tupl
 
 
 def grow_pruned_block(
-    rows: Presorted, block: np.ndarray, counts: np.ndarray, config: GrowthConfig, per_node: float, memo: dict,
-    level: int = 0, bound: float = math.inf,
+    rows: Presorted, block: np.ndarray | Callable[[], np.ndarray], counts: list, config: GrowthConfig,
+    per_node: float, memo: dict, level: int = 0, bound: float = math.inf,
 ) -> Optional[tuple[Tree, float, int, int]]:
     """``grow_pruned`` on a block with its class counts: the tree, its cost,
     and the rows it misclassifies and its node count, as ints; or None, only
-    when that cost is not below ``bound``.  ``memo`` maps blocks of row ids
-    to their split search and failures; calls on the same rows and
+    when that cost is not below ``bound``.  ``block`` is the block, or a
+    function of no arguments that builds it, called only if the block is
+    searched or looked up in ``memo``.  ``memo`` maps blocks of row ids to
+    their split search and failures; calls on the same rows and
     ``per_node`` may share one."""
     p = per_node
-    mode = int(counts.argmax())
-    misses = block.shape[1] - int(counts[mode])
-    leaf_cost = float(misses) + p
-    leaf = (Leaf(mode), leaf_cost, misses, 1) if leaf_cost <= bound else None
+    n, most = sum(counts), max(counts)
+    misses = n - most
+    leaf_cost = misses + p
+    leaf = (Leaf(counts.index(most)), leaf_cost, misses, 1) if leaf_cost <= bound else None
     # A kept split costs at least p + p + p; it must get under ``target``.
     target = min(leaf_cost, bound)
     room = math.inf if config.max_depth is None else config.max_depth - level  # levels left to grow
     if p + p + p >= target or room <= 0:
         return leaf
-    key = block[:, :: block.shape[1] - 1].tobytes()  # each line's first and last id
+    if callable(block):
+        block = block()
+    key = block[:, :: n - 1].tobytes()  # each line's first and last id
     entry = memo.get(key)
-    if entry is None:  # [split search, room and bound of the latest failure]
-        entry = memo[key] = [split_search(rows, block, counts), 0, -math.inf]
-    cand, failed_room, failed_bound = entry
+    if entry is None:  # [split search, its left side's counts, room and bound of the latest failure]
+        entry = memo[key] = [*split_search(rows, block, counts), 0, -math.inf]
+    cand, left_counts, failed_room, failed_bound = entry
     if cand is None:
         return leaf
     if room <= failed_room and bound <= failed_bound:  # the block costs at least failed_bound
         return None
-    (left_block, left_counts), (right_block, right_counts) = partition(
-        rows, block, counts, cand.feature, cand.threshold
-    )
+    right_counts = [c - left for c, left in zip(counts, left_counts)]
+    n_left = sum(left_counts)
     # The least cost the right side can return: its leaf's, or a split's.
-    sibling = min(float(right_block.shape[1] - int(right_counts.max())) + p, p + p + p)
+    sibling = min((n - n_left - max(right_counts)) + p, p + p + p)
     left_bound = _least_bound(target - p - sibling, target, lambda lb: p + lb + sibling >= target)
-    left = grow_pruned_block(rows, left_block, left_counts, config, p, memo, level + 1, left_bound)
+    sides = partial(partition, rows, block, cand.feature, cand.threshold)
+    left = grow_pruned_block(rows, partial(sides, True, n_left), left_counts, config, p, memo, level + 1, left_bound)
     if left is not None:
         left, left_cost, left_misses, left_nodes = left
         base = p + left_cost
         right_bound = _least_bound(target - base, target, lambda rb: base + rb >= target)
-        right = grow_pruned_block(rows, right_block, right_counts, config, p, memo, level + 1, right_bound)
+        right = grow_pruned_block(
+            rows, partial(sides, False, n - n_left), right_counts, config, p, memo, level + 1, right_bound
+        )
         if right is not None:
             right, right_cost, right_misses, right_nodes = right
             split_cost = base + right_cost
@@ -357,7 +370,7 @@ def grow_pruned_block(
                 tree = Split(cand.feature, cand.threshold, left, right)
                 return tree, split_cost, left_misses + right_misses, 1 + left_nodes + right_nodes
     if leaf is None:
-        entry[1:] = room, bound
+        entry[2:] = room, bound
     return leaf
 
 

@@ -213,8 +213,12 @@ def _sweep_tracks(
     """``sweep``'s tracks: batch 0 at each alpha, then batch 1 at each beta and of each baseline."""
     if not alphas and not betas:
         raise ConfigError("sweep needs at least one alpha or beta value")
-    if betas and config.n_batches < 2:
-        raise ConfigError("a beta sweep needs n_batches >= 2")
+    full = config.dataset.n_rows // config.batch_size  # full batches, as make_batch_plan counts them
+    if betas and min(config.n_batches, full) < 2:
+        raise ConfigError(
+            f"a beta sweep needs 2 batches: n_batches is {config.n_batches}, and "
+            f"{config.dataset.n_rows} rows hold {full} of {config.batch_size}"
+        )
     for name, grid in (("alphas", alphas), ("betas", betas)):
         # Equal values would count as one cell's runs twice over; values that
         # print alike would write one tree file name.

@@ -41,9 +41,13 @@ and that is at most ``B`` after its own three roundings.
 
 The data is presorted once per update (``grow.presort``); every node, kept or
 regrown, works on a block of row ids that a stable partition keeps sorted
-by each feature, and on the block's class counts, which come with it from
-``presort`` at the root and from ``grow.partition`` below it.  A node's
-regrow starts from the same counts.  Losses are carried up
+by each feature, and on the block's class counts, ints that come with it
+from ``presort`` at the root.  Below it a kept split counts the rows of its
+block's first line that go left, and the right side gets the rest; a
+regrown node's counts come from its parent's split search.  A node's
+regrow starts from the same counts.  A kept leaf needs only its counts, so
+its block is built (``grow.partition``) only if its regrow searches or
+looks up the memo.  Losses are carried up
 rather than recomputed: a kept leaf's misses are its rows less its class's
 count, a kept split sums its children's counts, an empty side kept verbatim
 costs only its nodes, and a regrown subtree brings its misclassifications
@@ -64,6 +68,9 @@ or ties, and a regrow that wins shares nothing with ``prev``.
 """
 
 from __future__ import annotations
+
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -100,29 +107,43 @@ def update(prev: Tree, data: Dataset, params: LossParams, growth: GrowthConfig =
 
 
 def _optimize(
-    prev: Tree, rows: Presorted, block: np.ndarray, counts: np.ndarray, params: LossParams,
+    prev: Tree, rows: Presorted, block: np.ndarray | Callable[[], np.ndarray], counts: list, params: LossParams,
     growth: GrowthConfig, memo: dict,
 ):
     """Return (chosen subtree, its loss against ``prev`` on the block's rows).
 
-    ``counts`` are the block's class counts; ``memo`` is the split memo
-    shared by every regrow of one update.
+    ``counts`` are the block's class counts, as ints.  ``block`` is the
+    block, or a function of no arguments that builds it, called only when
+    ``prev`` is a split or its regrow needs the rows.  ``memo`` is the split
+    memo shared by every regrow of one update.
     """
+    n = sum(counts)
     if isinstance(prev, Leaf):
         keep: Tree = prev
-        n, label = block.shape[1], prev.class_label
-        misses = n - int(counts[label]) if label < rows.n_classes else n
+        label = prev.class_label
+        misses = n - counts[label] if label < rows.n_classes else n
         keep_loss = breakdown(misses, 1, 0, params)
     else:
+        if callable(block):
+            block = block()
+        # The left side's counts, from the rows of the block's first line that go left.
+        line = block[0]
+        goes_left = rows.columns[prev.feature].take(line) <= prev.threshold
+        left_counts = np.bincount(rows.labels.take(line.compress(goes_left)), minlength=rows.n_classes).tolist()
+        n_left = sum(left_counts)
+        sides = (
+            (prev.left, left_counts, True, n_left),
+            (prev.right, [c - left for c, left in zip(counts, left_counts)], False, n - n_left),
+        )
         kept = []
-        sides = partition(rows, block, counts, prev.feature, prev.threshold)
-        for child, (side, side_counts) in zip((prev.left, prev.right), sides):
-            if side.shape[1] == 0:
+        for child, side_counts, is_left, side_n in sides:
+            if side_n == 0:
                 # An empty side stays exactly as it was: no rows reach it, so
                 # only the alpha term applies and regrowing (which needs data)
                 # is moot.
                 kept.append((child, breakdown(0, node_count(child), 0, params)))
             else:
+                side = partial(partition, rows, block, prev.feature, prev.threshold, is_left, side_n)
                 kept.append(_optimize(child, rows, side, side_counts, params, growth, memo))
         (left, left_loss), (right, right_loss) = kept
         keep = Split(prev.feature, prev.threshold, left, right)
@@ -134,7 +155,7 @@ def _optimize(
         )
 
     # A regrow that cannot get under this bound loses to keep or ties it (module docstring).
-    bound = (keep_loss.total + 2.0**-1000) * (1.0 + (block.shape[1] + 2) * 2.0**-50)
+    bound = (keep_loss.total + 2.0**-1000) * (1.0 + (n + 2) * 2.0**-50)
     regrow = grow_pruned_block(rows, block, counts, growth, params.alpha + params.beta, memo, bound=bound)
     if regrow is None:
         return keep, keep_loss

@@ -363,6 +363,14 @@ def test_eval_sweep_with_equal_grid_values_exits_3(tmp_path, capsys):
     assert "sweep alphas" in capsys.readouterr().err
 
 
+def test_eval_beta_sweep_on_data_too_short_for_2_batches_exits_3(tmp_path, capsys):
+    cfg = eval_config(tmp_path, dataset=blobs(n_rows=50), n_batches=2, batch_size=30, sweep={"betas": [1]})
+    out_dir = tmp_path / "o"
+    assert main(["eval", "--config", cfg, "--out-dir", str(out_dir)]) == 3
+    assert "beta sweep needs 2 batches" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_eval_malformed_config_reports_position(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"dataset": \n  oops}')

@@ -131,26 +131,37 @@ def test_split_search_equals_per_feature_reference(monkeypatch, lines_per_sweep)
         data = search_case(rng, case)
         sweep_lines(data.n_rows)
         assert bits(best_split(data)) == bits(ref_best_split(data))
-        # Blocks made by partition search as their rows would on their own.
         rows, block, counts = presort(data)
+        assert_left_counts(data, *split_search(rows, block, counts))
+        # Sides made by partition search as their rows would on their own.
         feature = int(rng.integers(data.n_features))
         threshold = float(rng.choice(data.features[:, feature]))
         goes_left = data.features[:, feature] <= threshold
-        sides = (np.flatnonzero(goes_left), np.flatnonzero(~goes_left))
-        parts = partition(rows, block, counts, feature, threshold)
-        for (side, side_counts), ids in zip(parts, sides):
+        for left, ids in zip((True, False), (np.flatnonzero(goes_left), np.flatnonzero(~goes_left))):
+            side = partition(rows, block, feature, threshold, left, ids.size)
             assert side.shape == (data.n_features, ids.size)
-            assert np.array_equal(side_counts, np.bincount(data.labels[ids], minlength=data.n_classes))
             for line in range(data.n_features):  # the side's rows, sorted by that feature
                 assert np.array_equal(np.sort(side[line]), ids)
                 values = data.features[side[line], line]
                 assert np.all(values[:-1] <= values[1:])
             if ids.size:
                 sweep_lines(ids.size)
-                assert bits(split_search(rows, side, side_counts)) == bits(ref_best_split(data.subset(ids)))
+                side_counts = np.bincount(data.labels[ids], minlength=data.n_classes).tolist()
+                cand, left_counts = split_search(rows, side, side_counts)
+                assert bits(cand) == bits(ref_best_split(data.subset(ids)))
+                assert_left_counts(data.subset(ids), cand, left_counts)
                 searched += 1
-        assert np.array_equal(parts[0][1] + parts[1][1], counts)
     assert searched > 400
+
+
+def assert_left_counts(data, cand, left_counts):
+    """The class counts a search carries are those of its cut's left side."""
+    if cand is None:
+        assert left_counts is None
+        return
+    goes_left = data.features[:, cand.feature] <= cand.threshold
+    assert left_counts == np.bincount(data.labels[goes_left], minlength=data.n_classes).tolist()
+    assert all(type(count) is int for count in left_counts)
 
 
 def test_presort_flags_the_tied_lines():
@@ -443,28 +454,49 @@ def test_grow_pruned_splits_just_above_2p():
     assert (tree, cost) == grown_then_pruned(FOUR, None, 0.9)
 
 
-def counting_partitions(monkeypatch):
-    """Record every block ``grow_pruned_block`` partitions."""
-    partitioned = []
+def recording_sides(monkeypatch):
+    """Record every side of a block that ``grow_pruned_block`` builds."""
+    built = []
 
-    def recording_partition(rows, block, counts, feature, threshold):
-        partitioned.append(block)
-        return partition(rows, block, counts, feature, threshold)
+    def recording_partition(*args):
+        side = partition(*args)
+        built.append(side)
+        return side
 
     monkeypatch.setattr(grow_module, "partition", recording_partition)
-    return partitioned
+    return built
 
 
 def test_update_carried_bounds_cut_partitions(monkeypatch):
     data = noisy_dataset(np.random.default_rng(37), 600)
     params = LossParams(1.0, 0.0)
     prev = retrain(data.subset(np.arange(300)), params)
-    partitioned = counting_partitions(monkeypatch)
+    built = recording_sides(monkeypatch)
     out = update(prev, data, params)
     assert out == ref_update(prev, data, params)
     # Pinned: with neither the lower-bound memo nor the keep bound, the
-    # regrows of this update partition 116 blocks.
-    assert len(partitioned) == 52
+    # regrows of this update partition 116 blocks.  With them they partition
+    # 52, and building both sides of each would build 104 blocks; a side is
+    # built only when it is searched or looked up.
+    assert len(built) == 57
+
+
+def test_a_side_is_built_only_when_it_is_searched(monkeypatch):
+    # The root splits at 6.5 into 4:2 and 2:4 class counts.  Under the bound
+    # 4.0, the left child must beat 2.0 and its leaf costs 2.5: it searches
+    # and fails, so the split cannot get under the bound, and the right side,
+    # whose leaf misses 2 > 2p rows, is never built.
+    data = dataset(range(1, 13), [0, 1, 0, 1, 0, 0, 1, 1, 0, 1, 1, 0])
+    rows, block, counts = presort(data)
+    cand, left_counts = split_search(rows, block, counts)
+    assert (cand.threshold, left_counts) == (6.5, [4, 2])
+    built = recording_sides(monkeypatch)
+    assert grow_pruned_block(rows, block, counts, GrowthConfig(None), 0.5, {}, bound=4.0) is None
+    assert [sorted(side[0].tolist()) for side in built] == [list(range(6))]
+    # Unbounded, the right side is built and searched too.
+    built.clear()
+    grow_pruned_block(rows, block, counts, GrowthConfig(None), 0.5, {})
+    assert list(range(6, 12)) in [sorted(side[0].tolist()) for side in built]
 
 
 # Six rows that one split cannot separate and two levels can: the block
@@ -480,9 +512,9 @@ def test_grow_pruned_block_reuses_a_failure_only_at_its_level_or_deeper(monkeypa
     memo = {}
     # From level 1 only a stump fits under max_depth, and it does not beat the leaf's 2.1.
     assert grow_pruned_block(rows, block, counts, config, p, memo, level=1, bound=1.0) is None
-    partitioned = counting_partitions(monkeypatch)
+    built = recording_sides(monkeypatch)
     assert grow_pruned_block(rows, block, counts, config, p, memo, level=1, bound=1.0) is None
-    assert partitioned == []  # the failure is remembered ...
+    assert built == []  # the failure is remembered ...
     # ... but not carried to a shallower start, where the block costs 0.5.
     assert grow_pruned_block(rows, block, counts, config, p, memo, level=0, bound=1.0)[:2] == (tree, cost)
 
@@ -493,10 +525,10 @@ def test_grow_pruned_block_reuses_a_failure_only_up_to_its_bound(monkeypatch):
     tree, cost = grow_pruned(SIX, config, LossParams(p, 0))
     memo = {}
     assert grow_pruned_block(rows, block, counts, config, p, memo, bound=0.4) is None
-    partitioned = counting_partitions(monkeypatch)
+    built = recording_sides(monkeypatch)
     # A lower bound, or any level with max_depth None, reuses the failure.
     assert grow_pruned_block(rows, block, counts, config, p, memo, level=3, bound=0.35) is None
-    assert partitioned == []
+    assert built == []
     # A higher bound than the one that failed still searches and finds the tree.
     assert grow_pruned_block(rows, block, counts, config, p, memo, bound=0.6)[:2] == (tree, cost)
-    assert partitioned != []
+    assert built != []

@@ -3,6 +3,7 @@ import importlib
 import json
 import re
 
+import numpy as np
 import pytest
 
 from treekeep import (
@@ -219,6 +220,17 @@ def test_sweep_rejects_a_grid_with_equal_or_alike_printed_values(tmp_path, alpha
     with pytest.raises(ConfigError, match="alphas" if len(alphas) > 1 else "betas"):
         run_eval(make_config(), tmp_path / "exp", alphas=alphas, betas=betas)
     assert not (tmp_path / "exp").exists()
+
+
+def test_beta_sweep_rejects_data_too_short_for_2_batches(tmp_path):
+    # 50 rows hold one batch of 30: batch 1, which a beta sweep records, never comes.
+    config = make_config(dataset=POOL.subset(np.arange(50)), n_batches=2, batch_size=30, test_size=20)
+    with pytest.raises(ConfigError, match="beta sweep needs 2 batches.* 50 rows hold 1 of 30"):
+        run_eval(config, tmp_path / "exp", betas=[1.0])
+    assert not (tmp_path / "exp").exists()
+    # An alpha sweep records batch 0 only, so it runs.
+    with pytest.warns(UserWarning, match="supports only 1 of the requested 2 batches"):
+        assert len(sweep(config, alphas=[1.0], betas=[])) == config.n_runs
 
 
 def test_summary_ci_uses_the_test_rows_the_plan_holds(tmp_path):

@@ -206,8 +206,9 @@ def assert_matches_oracle(prev, data, params, growth=GrowthConfig()):
 
 
 def test_every_block_gets_its_own_class_counts(monkeypatch):
-    # Counts are handed down a partition (the right side's are the parent's
-    # minus the left's), never taken again: each must be the block's own.
+    # Counts are handed down from the search or the kept split (the right
+    # side's are the parent's minus the left's), never taken again: each must
+    # be the block's own.  A block not yet built is built here to check it.
     checked = []
 
     def checking(fn):
@@ -215,8 +216,11 @@ def test_every_block_gets_its_own_class_counts(monkeypatch):
 
         def wrapper(*args, **kwargs):
             call = signature.bind(*args, **kwargs).arguments
-            rows, block = call["rows"], call["block"]
-            assert np.array_equal(call["counts"], np.bincount(rows.labels[block[0]], minlength=rows.n_classes))
+            rows, block, counts = call["rows"], call["block"], call["counts"]
+            if callable(block):
+                block = block()
+            assert counts == np.bincount(rows.labels[block[0]], minlength=rows.n_classes).tolist()
+            assert all(type(count) is int for count in counts)
             checked.append(fn)
             return fn(*args, **kwargs)
 
