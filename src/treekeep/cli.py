@@ -75,11 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--out-dir",
         help=f"output directory (default: ${OUT_DIR_ENV} or alongside the config)",
     )
-    p_eval.add_argument("--n-runs", type=int, help="override the config's n_runs")
-    p_eval.add_argument("--n-batches", type=int)
-    p_eval.add_argument("--batch-size", type=int)
-    p_eval.add_argument("--test-size", type=int)
-    p_eval.add_argument("--seed", type=int)
+    for key in INT_KEYS:
+        p_eval.add_argument("--" + key.replace("_", "-"), type=int, help=f"override the config's {key}")
     return parser
 
 

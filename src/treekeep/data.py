@@ -14,7 +14,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import NoReturn, Optional, Union
 
 import numpy as np
 
@@ -173,19 +173,15 @@ def _parse_chunk(lines, n_cols, label_idx, out):
     return columns[label_idx]
 
 
-def _parse_chunk_by_cell(path, lines, first_row, n_cols, label_idx, out):
-    """``_parse_chunk`` one line and one cell at a time, raising the first
-    fault with its row number (counting non-blank lines) and column."""
-    labels = []
-    for i, line in enumerate(lines):
-        row_no = first_row + i
+def _raise_chunk_fault(path, lines, first_row, n_cols, label_idx) -> NoReturn:
+    """Raise the first fault of a chunk ``_parse_chunk`` refused, with its
+    row number (counting non-blank lines) and column."""
+    for row_no, line in enumerate(lines, first_row):
         cells = _row_cells(path, row_no, line)
         if len(cells) != n_cols:
             raise DataLoadError(f"{path}, row {row_no}: expected {n_cols} cells, got {len(cells)}")
-        j = 0
         for col_no, cell in enumerate(cells):
             if col_no == label_idx:
-                labels.append(cell)
                 continue
             try:
                 value = float(cell)
@@ -197,9 +193,7 @@ def _parse_chunk_by_cell(path, lines, first_row, n_cols, label_idx, out):
                 raise DataLoadError(
                     f"{path}, row {row_no}, column {col_no + 1}: non-finite value: {cell!r}"
                 )
-            out[i, j] = value
-            j += 1
-    return labels
+    raise AssertionError(f"{path}: the chunk from row {first_row} was refused but holds no fault")
 
 
 def load_csv(path, label_column: Union[int, str], has_header: bool = False) -> Dataset:
@@ -214,8 +208,8 @@ def load_csv(path, label_column: Union[int, str], has_header: bool = False) -> D
     The file is read twice: once to count its rows, so that the float64
     feature array is allocated once, then ``CHUNK_ROWS`` lines at a time,
     each chunk converted one column at a time.  Memory peaks a little above
-    that one array.  A faulty chunk is parsed again cell by cell to name the
-    first faulty row and column.
+    that one array.  A chunk that fails to parse is read again cell by cell
+    to name its first faulty row and column.
     """
     if not os.path.exists(path):
         raise DataLoadError(f"dataset file not found: {path}")
@@ -262,7 +256,7 @@ def load_csv(path, label_column: Union[int, str], has_header: bool = False) -> D
             block = features[done:end]
             cells = _parse_chunk(chunk, n_cols, label_idx, block)
             if cells is None:
-                cells = _parse_chunk_by_cell(path, chunk, first_row + done, n_cols, label_idx, block)
+                _raise_chunk_fault(path, chunk, first_row + done, n_cols, label_idx)
             label_ids[done:end] = [first_seen.setdefault(cell.strip(), len(first_seen)) for cell in cells]
             done = end
             chunk = list(itertools.islice(lines, CHUNK_ROWS))
@@ -512,6 +506,17 @@ class DatasetManifest:
         return os.path.exists(self.local_path())
 
 
+def _data_ref(label_column, has_header) -> tuple[Union[int, str], bool]:
+    """A data reference's ``label_column`` and ``has_header``, as a manifest
+    or an ``eval`` config gives them: a JSON integer or a column name, and a
+    bool.  Any other value raises ``TypeError``."""
+    if not isinstance(has_header, bool):
+        raise TypeError(f"has_header must be true or false, got {has_header!r}")
+    if isinstance(label_column, bool) or not isinstance(label_column, (int, str)):
+        raise TypeError(f"label_column must be an integer or a name, got {label_column!r}")
+    return label_column, has_header
+
+
 def load_manifest(path) -> DatasetManifest:
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
@@ -523,11 +528,10 @@ def load_manifest(path) -> DatasetManifest:
     missing = {"name", "url", "file", "label_column"} - set(obj)
     if missing:
         raise DataLoadError(f"{path}: manifest is missing fields: {sorted(missing)}")
-    has_header, label_column = obj.get("has_header", False), obj["label_column"]
-    if not isinstance(has_header, bool):
-        raise DataLoadError(f"{path}: has_header must be true or false, got {has_header!r}")
-    if isinstance(label_column, bool) or not isinstance(label_column, (int, str)):
-        raise DataLoadError(f"{path}: label_column must be an integer or a name, got {label_column!r}")
+    try:
+        label_column, has_header = _data_ref(obj["label_column"], obj.get("has_header", False))
+    except TypeError as exc:
+        raise DataLoadError(f"{path}: {exc}") from None
     return DatasetManifest(
         name=obj["name"],
         url=obj["url"],

@@ -14,6 +14,7 @@ beta=-100 / beta=100 sweep endpoints and are tagged that way in the output.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
@@ -28,6 +29,7 @@ from .data import (
     Dataset,
     SyntheticSpec,
     Rectangle,
+    _data_ref,
     builtin_dataset_path,
     dataset_from_manifest,
     load_csv,
@@ -358,11 +360,12 @@ def _cell(column: str, value) -> str:
 
 
 def _write_csv(rows, columns: Sequence[str], path) -> None:
-    """One line per row, one cell per named attribute of the row."""
+    """One line per row, one cell per named attribute of the row; the csv
+    module quotes a cell that holds a comma, a double quote or a line feed."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_cell(c, getattr(row, c)) for c in columns) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_cell(c, getattr(row, c)) for c in columns] for row in rows)
 
 
 RESULT_COLUMNS = (
@@ -446,19 +449,9 @@ def run_eval(
 # Config files
 # ---------------------------------------------------------------------------
 
-_CONFIG_KEYS = {
-    "dataset",
-    "algorithm",
-    "n_runs",
-    "n_batches",
-    "batch_size",
-    "test_size",
-    "seed",
-    "growth",
-    "sweep",
-}
 # Integer settings a config document may set and `treekeep eval` may override.
 INT_KEYS = ("n_runs", "n_batches", "batch_size", "test_size", "seed")
+_CONFIG_KEYS = {"dataset", "algorithm", "growth", "sweep", *INT_KEYS}
 # The keys each kind of dataset reference accepts; the first kind present decides.
 _DATASET_KEYS = {
     "builtin": {"builtin", "label_column"},
@@ -496,7 +489,7 @@ def _dataset_from_ref(ref, base_dir: str) -> tuple[str, Dataset]:
     _reject_unknown(ref, _DATASET_KEYS[kind], f"'{kind}' dataset")
     if kind == "builtin":
         name = ref["builtin"]
-        return name, load_csv(builtin_dataset_path(name), ref.get("label_column", -1), True)
+        return name, load_csv(builtin_dataset_path(name), *_data_ref(ref.get("label_column", -1), True))
     if kind == "manifest":
         manifest = load_manifest(os.path.join(base_dir, ref["manifest"]))
         return manifest.name, dataset_from_manifest(manifest)
@@ -505,10 +498,7 @@ def _dataset_from_ref(ref, base_dir: str) -> tuple[str, Dataset]:
             raise ConfigError("dataset with 'path' needs 'label_column'")
         path = os.path.join(base_dir, ref["path"])
         name = ref.get("name") or os.path.splitext(os.path.basename(ref["path"]))[0]
-        has_header = ref.get("has_header", False)
-        if not isinstance(has_header, bool):
-            raise TypeError(f"has_header must be true or false, got {has_header!r}")
-        return name, load_csv(path, ref["label_column"], has_header)
+        return name, load_csv(path, *_data_ref(ref["label_column"], ref.get("has_header", False)))
     spec_obj = dict(ref["synthetic"])
     for key, value in spec_obj.items():
         if key in ("n_rows", "n_features", "background_label", "seed") or (key == "n_classes" and value is not None):

@@ -39,16 +39,19 @@ __all__ = [
 # Path from the root as a string of "L"/"R" steps; the root is "".
 NodeId = str
 
+# Classes lie below this bound: predict writes them into an int64 array.
+_CLASS_LIMIT = 2**63
+
 
 @dataclass(frozen=True)
 class Leaf:
-    """Terminal node emitting a class label (dense non-negative index)."""
+    """Terminal node emitting a class label (dense index in [0, 2**63))."""
 
     class_label: int
 
     def __post_init__(self):
-        if self.class_label < 0:
-            raise ValueError(f"class label must be non-negative, got {self.class_label}")
+        if not 0 <= self.class_label < _CLASS_LIMIT:
+            raise ValueError(f"class label must lie in [0, 2**63), got {self.class_label}")
 
 
 @dataclass(frozen=True)
@@ -189,8 +192,8 @@ def _from_obj(obj, path: str) -> Tree:
     kind = obj.get("kind")
     if kind == "leaf":
         label = obj.get("class")
-        if not isinstance(label, int) or isinstance(label, bool) or label < 0:
-            raise TreeFormatError(f"{path}.class: expected a non-negative integer, got {label!r}")
+        if not isinstance(label, int) or isinstance(label, bool) or not 0 <= label < _CLASS_LIMIT:
+            raise TreeFormatError(f"{path}.class: expected an integer in [0, 2**63), got {label!r}")
         return Leaf(label)
     if kind == "split":
         feature = obj.get("feature")

@@ -118,6 +118,18 @@ def test_update_negative_beta_rejected(data_file, tmp_path, capsys):
     assert "beta" in capsys.readouterr().err
 
 
+def test_update_leaf_class_beyond_int64_exits_3(data_file, tmp_path, capsys):
+    # Kept by a large beta, such a leaf would fail in predict.
+    prev_path = tmp_path / "prev.json"
+    prev_path.write_text('{"kind": "leaf", "class": 100000000000000000000}')
+    rc = main(
+        ["update", "--prev-tree", str(prev_path), "--data", data_file,
+         "--beta", "1000", "--out", str(tmp_path / "new.json")]
+    )
+    assert rc == 3
+    assert "root.class" in capsys.readouterr().err
+
+
 def test_update_writes_diff_table(data_file, tmp_path):
     prev_path = tmp_path / "prev.json"
     save_tree(Leaf(0), prev_path)
@@ -315,6 +327,12 @@ def test_eval_unknown_algorithm_lists_names(tmp_path, capsys):
         {"dataset": blobs(flip_noise=True)},
         {"dataset": blobs(lows=(True, 0))},
         {"dataset": blobs(highs=("1", 1))},
+        {"dataset": {"path": "four.csv", "label_column": True}},
+        {"dataset": {"path": "four.csv", "label_column": 1.5}},
+        {"dataset": {"path": "four.csv", "label_column": None}},
+        {"dataset": {"builtin": "iris", "label_column": True}},
+        {"dataset": {"builtin": "iris", "label_column": 1.5}},
+        {"dataset": {"builtin": "iris", "label_column": None}},
     ],
     ids=[
         "max_depth_string",
@@ -342,13 +360,21 @@ def test_eval_unknown_algorithm_lists_names(tmp_path, capsys):
         "flip_noise_bool",
         "rectangle_lows_bool",
         "rectangle_highs_string",
+        "path_label_column_bool",
+        "path_label_column_float",
+        "path_label_column_null",
+        "builtin_label_column_bool",
+        "builtin_label_column_float",
+        "builtin_label_column_null",
     ],
 )
 def test_eval_mistyped_config_value_exits_3(tmp_path, capsys, override):
     (tmp_path / "four.csv").write_text(FOUR_ROWS)
     cfg = eval_config(tmp_path, **override)
-    assert main(["eval", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 3
+    out_dir = tmp_path / "o"
+    assert main(["eval", "--config", cfg, "--out-dir", str(out_dir)]) == 3
     assert "invalid config" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_eval_unknown_dataset_key_exits_3(tmp_path, capsys):
@@ -369,6 +395,11 @@ def test_eval_beta_sweep_on_data_too_short_for_2_batches_exits_3(tmp_path, capsy
     assert main(["eval", "--config", cfg, "--out-dir", str(out_dir)]) == 3
     assert "beta sweep needs 2 batches" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+def test_eval_missing_config_exits_3(tmp_path, capsys):
+    assert main(["eval", "--config", str(tmp_path / "none.json")]) == 3
+    assert "config file not found" in capsys.readouterr().err
 
 
 def test_eval_malformed_config_reports_position(tmp_path, capsys):

@@ -582,6 +582,17 @@ def test_synthetic_invalid_spec():
             SyntheticSpec(n_rows=5, n_features=2, rectangles=(Rectangle((0.0,), (1.0,), 1),)),
             seed=0,
         )
+    with pytest.raises(ConfigError, match="n_features"):
+        synthetic(SyntheticSpec(n_rows=5, n_features=0), seed=0)
+    with pytest.raises(ConfigError, match="non-negative"):
+        synthetic(SyntheticSpec(n_rows=5, n_features=1, background_label=-1), seed=0)
+    with pytest.raises(ConfigError, match="does not fit in 2 classes"):
+        synthetic(
+            SyntheticSpec(n_rows=5, n_features=1, rectangles=(Rectangle((0.0,), (1.0,), 2),), n_classes=2),
+            seed=0,
+        )
+    with pytest.raises(ConfigError, match="lows must not exceed highs"):
+        synthetic(SyntheticSpec(n_rows=5, n_features=1, rectangles=(Rectangle((0.6,), (0.4,), 1),)), seed=0)
 
 
 def test_manifest_roundtrip(tmp_path):
@@ -617,6 +628,18 @@ def test_manifest_missing_data_file(tmp_path):
     assert not manifest.is_present()
     with pytest.raises(DataLoadError, match="download"):
         dataset_from_manifest(manifest)
+
+
+def test_manifest_missing_or_not_json(tmp_path):
+    with pytest.raises(DataLoadError, match="manifest not found"):
+        load_manifest(str(tmp_path / "none.json"))
+    with pytest.raises(DataLoadError, match="invalid manifest"):
+        load_manifest(write(tmp_path, "broken.json", '{"name": '))
+
+
+def test_builtin_dataset_path_unknown_name():
+    with pytest.raises(DataLoadError, match="no builtin dataset named 'nope'"):
+        builtin_dataset_path("nope")
 
 
 def test_manifest_missing_fields(tmp_path):

@@ -334,6 +334,16 @@ def test_run_eval_predicts_again_only_under_changed_nodes(tmp_path, monkeypatch,
     assert unchanged >= 4 and any(r.delta for r in records)
 
 
+def test_result_tables_quote_cells_as_csv_does(tmp_path):
+    out = tmp_path / "exp"
+    run_eval(make_config(dataset_name='skin, v2 "rgb"\nsubset'), out)
+    for table in ("results.csv", "summary.csv", "timings.csv"):
+        with open(out / table, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert rows and all(len(row) == len(header) for row in rows)
+        assert {row[header.index("dataset")] for row in rows} == {'skin, v2 "rgb"\nsubset'}
+
+
 def test_config_from_dict_synthetic_and_sweep():
     obj = {
         "dataset": {
@@ -391,6 +401,55 @@ def test_config_unknown_keys_inside_sections_rejected(section, key):
     obj = {"dataset": {"builtin": "iris"}, "algorithm": {"name": "keep_regrow"}, **section}
     with pytest.raises(ConfigError, match=key):
         config_from_dict(obj)
+
+
+IRIS = {"builtin": "iris"}
+RETRAIN = {"name": "retrain"}
+
+
+@pytest.mark.parametrize(
+    "obj, match",
+    [
+        ([], "config document must be an object"),
+        ({"dataset": IRIS}, "'algorithm' object"),
+        ({"dataset": IRIS, "algorithm": "retrain"}, "'algorithm' object"),
+        ({"dataset": "iris", "algorithm": RETRAIN}, "'dataset' must be an object"),
+        ({"dataset": {"name": "iris"}, "algorithm": RETRAIN}, "dataset must specify one of"),
+        ({"dataset": IRIS, "algorithm": RETRAIN, "sweep": {"gammas": [1]}}, "'sweep' takes only"),
+        ({"dataset": IRIS, "algorithm": RETRAIN, "n_runs": 0}, "n_runs must be >= 1"),
+        ({"dataset": IRIS, "algorithm": RETRAIN, "n_batches": 0}, "n_batches must be >= 1"),
+        ({"dataset": IRIS, "algorithm": RETRAIN, "batch_size": 0}, "batch_size must be >= 1"),
+        ({"dataset": IRIS, "algorithm": RETRAIN, "test_size": -1}, "test_size must be >= 0"),
+        ({"dataset": {"path": "points.csv", "label_column": True}, "algorithm": RETRAIN}, "label_column"),
+        ({"dataset": {"path": "points.csv", "label_column": 1.5}, "algorithm": RETRAIN}, "label_column"),
+        ({"dataset": {"path": "points.csv", "label_column": None}, "algorithm": RETRAIN}, "label_column"),
+        ({"dataset": {"builtin": "iris", "label_column": True}, "algorithm": RETRAIN}, "label_column"),
+        ({"dataset": {"builtin": "iris", "label_column": 1.5}, "algorithm": RETRAIN}, "label_column"),
+        ({"dataset": {"path": "points.csv", "label_column": 0, "has_header": 1}, "algorithm": RETRAIN}, "has_header"),
+    ],
+    ids=[
+        "document_list",
+        "no_algorithm",
+        "algorithm_string",
+        "dataset_string",
+        "dataset_no_kind",
+        "sweep_unknown_key",
+        "n_runs_0",
+        "n_batches_0",
+        "batch_size_0",
+        "test_size_negative",
+        "path_label_column_bool",
+        "path_label_column_float",
+        "path_label_column_null",
+        "builtin_label_column_bool",
+        "builtin_label_column_float",
+        "path_has_header_int",
+    ],
+)
+def test_config_rejects_a_malformed_document(tmp_path, obj, match):
+    (tmp_path / "points.csv").write_text("1,2,0\n3,4,1\n")
+    with pytest.raises(ConfigError, match=match):
+        config_from_dict(obj, str(tmp_path))
 
 
 def test_config_omitted_keys_take_dataclass_defaults():

@@ -88,6 +88,8 @@ def test_tree_invariants_enforced_at_construction():
         Split(-1, 0.0, Leaf(0), Leaf(1))
     with pytest.raises(ValueError):
         Leaf(-2)
+    with pytest.raises(ValueError):
+        Leaf(2**63)
 
 
 def test_roundtrip_split():
@@ -97,6 +99,7 @@ def test_roundtrip_split():
 
 def test_roundtrip_leaf():
     assert deserialize(serialize(Leaf(3))) == Leaf(3)
+    assert deserialize(serialize(Leaf(2**63 - 1))) == Leaf(2**63 - 1)
 
 
 def test_roundtrip_threshold_bit_exact():
@@ -140,6 +143,28 @@ def test_deserialize_unknown_kind_names_path():
 def test_deserialize_missing_child():
     doc = '{"kind": "split", "feature": 0, "threshold": 1.0, "left": {"kind": "leaf", "class": 0}}'
     with pytest.raises(TreeFormatError, match="right"):
+        deserialize(doc)
+
+
+LEAVES = '"left": {"kind": "leaf", "class": 0}, "right": {"kind": "leaf", "class": 1}'
+
+
+@pytest.mark.parametrize(
+    "doc, where",
+    [
+        ('{"kind": "split", "feature": 0, "threshold": 1e400, ' + LEAVES + "}", r"root\.threshold"),
+        ('{"kind": "split", "feature": 0, "threshold": 1.0, "left": [], "right": {"kind": "leaf", "class": 1}}',
+         r"root\.left: expected an object"),
+        ('{"kind": "leaf", "class": 1.0}', r"root\.class"),
+        ('{"kind": "split", "feature": -1, "threshold": 1.0, ' + LEAVES + "}", r"root\.feature"),
+        # predict writes classes into an int64 array
+        ('{"kind": "leaf", "class": 100000000000000000000}', r"root\.class"),
+        ('{"kind": "leaf", "class": 9223372036854775808}', r"root\.class"),
+    ],
+    ids=["threshold_1e400", "node_not_an_object", "class_float", "feature_negative", "class_1e20", "class_2_63"],
+)
+def test_deserialize_rejects_a_bad_field(doc, where):
+    with pytest.raises(TreeFormatError, match=where):
         deserialize(doc)
 
 
