@@ -21,7 +21,7 @@ from .data import (
     make_batch_plan,
     synthetic,
 )
-from .diff import DiffEntry, DiffReport, diff_table, similarity, structural_diff
+from .diff import DiffEntry, DiffReport, diff_table, structural_diff
 from .errors import (
     ConfigError,
     DataLoadError,
@@ -56,4 +56,4 @@ from .tree import (
     serialize,
     to_dot,
 )
-from .update import keep_original, retrain, update
+from .update import retrain, update

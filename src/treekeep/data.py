@@ -13,7 +13,7 @@ import json
 import math
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NoReturn, Optional, Union
 
 import numpy as np
@@ -296,52 +296,29 @@ def builtin_dataset_path(name: str) -> str:
 class BatchPlan:
     """Disjoint training batches plus a held-out test set over one dataset.
 
-    The plan gathers its rows from ``source`` once, when it is made: the
-    test rows (``test``) and every batch's rows, in draw order.
-    ``batch(t)`` and ``cumulative(t)``, the union of batches 0..t and so
-    the training data a model sees at step t, are read-only views into the
-    gathered training rows, so a stream of T batches copies each row once
-    rather than up to T times.
+    ``train`` holds the batches' rows in draw order, ``batch_size`` rows each.
+    ``cumulative(t)``, batches 0..t and so the training data a model sees at
+    step t, is a read-only view into ``train``: a stream copies each row once.
     """
 
-    source: Dataset
-    batch_indices: tuple[np.ndarray, ...]
-    test_indices: np.ndarray
-    test: Dataset = field(init=False, repr=False, compare=False)
-    _train: Dataset = field(init=False, repr=False, compare=False)
-    _ends: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    train: Dataset
+    batch_size: int
+    test: Dataset
 
     def __post_init__(self):
-        object.__setattr__(self, "test", self.source.subset(self.test_indices))
-        object.__setattr__(self, "_train", self.source.subset(np.concatenate(self.batch_indices)))
-        object.__setattr__(self, "_ends", tuple(itertools.accumulate(map(len, self.batch_indices))))
+        if self.batch_size < 1 or self.train.n_rows % self.batch_size:
+            raise ValueError(f"{self.train.n_rows} rows are not whole batches of {self.batch_size}")
 
     @property
     def n_batches(self) -> int:
-        return len(self.batch_indices)
-
-    def _check(self, t: int) -> None:
-        if not 0 <= t < self.n_batches:
-            raise ValueError(f"batch t={t} is outside 0..{self.n_batches - 1} (n_batches={self.n_batches})")
-
-    def _rows(self, start: int, end: int) -> Dataset:
-        train = self._train
-        return Dataset(
-            train.features[start:end],
-            train.labels[start:end],
-            train.n_classes,
-            train.column_names,
-            train.label_names,
-        )
-
-    def batch(self, t: int) -> Dataset:
-        self._check(t)
-        return self._rows(self._ends[t - 1] if t else 0, self._ends[t])
+        return self.train.n_rows // self.batch_size
 
     def cumulative(self, t: int) -> Dataset:
         """Union of batches 0..t, in draw order."""
-        self._check(t)
-        return self._rows(0, self._ends[t])
+        if not 0 <= t < self.n_batches:
+            raise ValueError(f"batch t={t} is outside 0..{self.n_batches - 1} (n_batches={self.n_batches})")
+        end, train = (t + 1) * self.batch_size, self.train
+        return Dataset(train.features[:end], train.labels[:end], train.n_classes, train.column_names, train.label_names)
 
 
 def make_batch_plan(
@@ -373,16 +350,14 @@ def make_batch_plan(
             f"dataset supports only {n_full} of the requested {n_batches} batches "
             f"of {batch_size} rows"
         )
-    batches = tuple(
-        perm[i * batch_size : (i + 1) * batch_size] for i in range(n_full)
-    )
     rest = perm[n_full * batch_size :]
     if len(rest) < test_size:
         warnings.warn(
             f"only {len(rest)} rows left for the test set (requested {test_size})"
         )
-    test = rest[: min(test_size, len(rest))]
-    return BatchPlan(data, batches, test)
+    # The test rows are gathered first: the process's peak memory follows allocation order.
+    test = data.subset(rest[:test_size])
+    return BatchPlan(data.subset(perm[: n_full * batch_size]), batch_size, test)
 
 
 # ---------------------------------------------------------------------------
@@ -502,9 +477,6 @@ class DatasetManifest:
     def local_path(self) -> str:
         return os.path.normpath(os.path.join(self.base_dir, self.file))
 
-    def is_present(self) -> bool:
-        return os.path.exists(self.local_path())
-
 
 def _data_ref(label_column, has_header) -> tuple[Union[int, str], bool]:
     """A data reference's ``label_column`` and ``has_header``, as a manifest
@@ -525,9 +497,14 @@ def load_manifest(path) -> DatasetManifest:
         raise DataLoadError(f"manifest not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise DataLoadError(f"{path}: invalid manifest: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise DataLoadError(f"{path}: a manifest must be a JSON object, got {type(obj).__name__}")
     missing = {"name", "url", "file", "label_column"} - set(obj)
     if missing:
         raise DataLoadError(f"{path}: manifest is missing fields: {sorted(missing)}")
+    not_text = [key for key in ("name", "url", "file") if not isinstance(obj[key], str)]
+    if not_text:
+        raise DataLoadError(f"{path}: manifest fields must be strings: {not_text}")
     try:
         label_column, has_header = _data_ref(obj["label_column"], obj.get("has_header", False))
     except TypeError as exc:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .tree import Leaf, NodeId, Split, Tree, iter_nodes, node_count
 
-__all__ = ["DiffEntry", "DiffReport", "structural_diff", "similarity", "diff_table"]
+__all__ = ["DiffEntry", "DiffReport", "structural_diff", "diff_table"]
 
 PARTIAL_CREDIT = 0.5
 
@@ -72,11 +72,6 @@ def _walk(prev, new, path, ancestor_changed, entries):
         below_changed = ancestor_changed or not exact
         _walk(prev.left, new.left, path + "L", below_changed, entries)
         _walk(prev.right, new.right, path + "R", below_changed, entries)
-
-
-def similarity(prev: Tree, new: Tree) -> float:
-    """Partial-match similarity in [0, 1]; 1 iff the trees are identical."""
-    return structural_diff(prev, new).similarity
 
 
 def diff_table(report: DiffReport) -> str:

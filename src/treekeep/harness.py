@@ -19,7 +19,8 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+import unicodedata
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -42,7 +43,7 @@ from .errors import ConfigError
 from .grow import GrowthConfig
 from .loss import LossParams, repredict
 from .tree import Tree, node_count, save_tree
-from .update import keep_original, retrain, update
+from .update import retrain, update
 
 __all__ = [
     "VALID_ALGORITHMS",
@@ -54,7 +55,6 @@ __all__ = [
     "sweep",
     "summarize",
     "accuracy_ci_halfwidth",
-    "write_results",
     "run_eval",
     "config_from_dict",
 ]
@@ -102,6 +102,9 @@ class ExperimentConfig:
             raise ConfigError("batch_size must be >= 1")
         if self.test_size < 0:
             raise ConfigError("test_size must be >= 0")
+        # A control character such as a carriage return would split a row of the result tables.
+        if any(unicodedata.category(c) == "Cc" for c in str(self.dataset_name)):
+            raise ConfigError(f"dataset name {self.dataset_name!r} holds a control character")
 
 
 @dataclass(frozen=True)
@@ -134,7 +137,7 @@ def _train_step(algorithm: AlgorithmSpec, prev: Optional[Tree], train: Dataset, 
         return update(prev, train, LossParams(algorithm.alpha, algorithm.beta), growth)
     if algorithm.name == "retrain":
         return retrain(train, LossParams(algorithm.alpha, 0.0), growth)
-    return keep_original(prev)
+    return prev  # keep_original: zero changes, zero learning
 
 
 def archive_name(record: RunRecord) -> str:
@@ -153,16 +156,17 @@ def _timed(step, *args):
 
 
 def _run_tracks(
-    config: ExperimentConfig, tracks: Sequence[tuple[AlgorithmSpec, range]], archive_dir: Optional[str]
-) -> tuple[list[RunRecord], int]:
-    """Every run of ``tracks``, canonically sorted, and the rows each run's test set holds.
+    config: ExperimentConfig, tracks: Sequence[tuple[AlgorithmSpec, range]], archive_dir: Optional[str] = None
+) -> tuple[list[RunRecord], int, set[str]]:
+    """Every run of ``tracks``, canonically sorted, the rows each run's test
+    set holds, and the names of the tree files saved under ``archive_dir``.
 
     A track is an algorithm and the batches it records; it steps from batch
     0 to the last of them, or to the plan's last batch if the data runs
     short.  Each run draws its plan once and trains its batch-0 tree (a
     retrain) once per alpha; every track at that alpha continues from it.
     """
-    records = []
+    records, saved = [], set()
     for run in range(config.n_runs):
         # The batches and test set depend on the dataset, the sizes and (seed, run) only.
         plan = make_batch_plan(
@@ -202,11 +206,13 @@ def _run_tracks(
                     wall_time_ms=elapsed_ms,
                 )
                 if archive_dir is not None:
-                    save_tree(tree, os.path.join(archive_dir, archive_name(record)))
+                    name = archive_name(record)
+                    save_tree(tree, os.path.join(archive_dir, name))
+                    saved.add(name)
                 if t in recorded:
                     records.append(record)
     records.sort(key=_row_order)
-    return records, test.n_rows
+    return records, test.n_rows, saved
 
 
 def _sweep_tracks(
@@ -234,17 +240,12 @@ def _sweep_tracks(
     return tracks
 
 
-def run_experiment(config: ExperimentConfig, archive_dir: Optional[str] = None) -> list[RunRecord]:
+def run_experiment(config: ExperimentConfig) -> list[RunRecord]:
     """All runs of one algorithm over the batch stream; canonically sorted."""
-    return _run_tracks(config, [(config.algorithm, range(config.n_batches))], archive_dir)[0]
+    return _run_tracks(config, [(config.algorithm, range(config.n_batches))])[0]
 
 
-def sweep(
-    config: ExperimentConfig,
-    alphas: Sequence[float],
-    betas: Sequence[float],
-    archive_dir: Optional[str] = None,
-) -> list[RunRecord]:
+def sweep(config: ExperimentConfig, alphas: Sequence[float], betas: Sequence[float]) -> list[RunRecord]:
     """Parameter exploration around one config.
 
     The alpha sweep prunes the very first batch's tree at each alpha (no
@@ -256,7 +257,7 @@ def sweep(
     Each run draws its plan once and trains its batch-0 tree once per alpha,
     one run at a time, so only one plan is held at once.
     """
-    return _run_tracks(config, _sweep_tracks(config, alphas, betas), archive_dir)[0]
+    return _run_tracks(config, _sweep_tracks(config, alphas, betas))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -386,11 +387,6 @@ SUMMARY_COLUMNS = tuple(f.name for f in fields(SummaryRow))
 TIMING_COLUMNS = RESULT_COLUMNS[:6] + ("wall_time_ms",)
 
 
-def write_results(records: Sequence[RunRecord], path) -> None:
-    """Canonical result table; deterministic bytes for a fixed config."""
-    _write_csv(records, RESULT_COLUMNS, path)
-
-
 def run_eval(
     config: ExperimentConfig,
     out_dir,
@@ -409,8 +405,8 @@ def run_eval(
         tracks, mode = [(config.algorithm, range(config.n_batches))], "stream"
     trees_dir = os.path.join(out_dir, "trees")
     os.makedirs(trees_dir, exist_ok=True)
-    records, test_rows = _run_tracks(config, tracks, trees_dir)
-    write_results(records, os.path.join(out_dir, "results.csv"))
+    records, test_rows, tree_files = _run_tracks(config, tracks, trees_dir)
+    _write_csv(records, RESULT_COLUMNS, os.path.join(out_dir, "results.csv"))
     rows = summarize(records, test_rows)
     _write_csv(rows, SUMMARY_COLUMNS, os.path.join(out_dir, "summary.csv"))
     _write_csv(records, TIMING_COLUMNS, os.path.join(out_dir, "timings.csv"))
@@ -433,9 +429,7 @@ def run_eval(
         "timings": "timings.csv",
         "trees_dir": "trees",
         # This run's trees only, even when trees/ holds files from earlier runs.
-        "tree_files": sorted(
-            {archive_name(replace(r, batch=b)) for r in records for b in range(r.batch + 1)}
-        ),
+        "tree_files": sorted(tree_files),
         "version": __version__,
         "elapsed_s": round(time.perf_counter() - started, 3),
     }

@@ -75,16 +75,15 @@ from typing import Callable
 import numpy as np
 
 from .data import Dataset
-from .errors import InputShapeError
 from .grow import GrowthConfig, Presorted, grow_pruned, grow_pruned_block, partition, presort
 from .loss import LossParams, breakdown
 # grow, prune and loss go unused here; perfbench/tracer.py patches them in this module.
 from .grow import grow  # noqa: F401
 from .loss import loss  # noqa: F401
 from .prune import prune  # noqa: F401
-from .tree import Leaf, Split, Tree, max_feature, node_count
+from .tree import Leaf, Split, Tree, _feature_matrix, node_count
 
-__all__ = ["update", "retrain", "keep_original"]
+__all__ = ["update", "retrain"]
 
 
 def update(prev: Tree, data: Dataset, params: LossParams, growth: GrowthConfig = GrowthConfig()) -> Tree:
@@ -97,11 +96,7 @@ def update(prev: Tree, data: Dataset, params: LossParams, growth: GrowthConfig =
     """
     if data.n_rows == 0:
         raise ValueError("update requires a non-empty dataset")
-    top = max_feature(prev)
-    if top >= data.n_features:
-        raise InputShapeError(
-            f"previous tree splits on feature {top} but data has {data.n_features} columns"
-        )
+    _feature_matrix(prev, data.features)  # raises InputShapeError if a split's column is missing
     tree, _ = _optimize(prev, *presort(data), params, growth, {})
     return tree
 
@@ -173,8 +168,3 @@ def retrain(data: Dataset, params: LossParams, growth: GrowthConfig = GrowthConf
         raise ValueError("retrain requires a non-empty dataset")
     tree, _ = grow_pruned(data, growth, LossParams(params.alpha, 0.0))
     return tree
-
-
-def keep_original(prev: Tree) -> Tree:
-    """The do-nothing baseline: zero changes, zero learning."""
-    return prev

@@ -281,7 +281,7 @@ def iris_walkthrough(work, *update_flags):
     """
     iris_path = builtin_dataset_path("iris")
     iris = load_csv(iris_path, "species", has_header=True)
-    sample = make_batch_plan(iris, 1, 15, 0, IRIS_SAMPLE_SEED).batch(0)
+    sample = make_batch_plan(iris, 1, 15, 0, IRIS_SAMPLE_SEED).cumulative(0)
     sample_path = work / "iris_sample.csv"
     with open(sample_path, "w") as fh:
         fh.write("sepal_length,sepal_width,petal_length,petal_width,species\n")

@@ -193,7 +193,7 @@ def load_skin_or_standin():
     manifest_path = os.path.join(MANIFEST_DIR, "skin.json")
     if os.path.exists(manifest_path):
         manifest = load_manifest(manifest_path)
-        if manifest.is_present():
+        if os.path.exists(manifest.local_path()):
             return manifest.name, dataset_from_manifest(manifest)
     return "skin-like-synthetic", synthetic(SKIN_LIKE, seed=2024)
 

@@ -397,6 +397,37 @@ def test_eval_beta_sweep_on_data_too_short_for_2_batches_exits_3(tmp_path, capsy
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("document", ["5", '"abc"', "[]", "null"])
+def test_eval_manifest_that_is_not_an_object_exits_3(tmp_path, capsys, document):
+    (tmp_path / "odd.json").write_text(document)
+    cfg = eval_config(tmp_path, dataset={"manifest": "odd.json"})
+    out_dir = tmp_path / "o"
+    assert main(["eval", "--config", cfg, "--out-dir", str(out_dir)]) == 3
+    assert "odd.json: a manifest must be a JSON object" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("name", ["a\rb", "a\nb"])
+@pytest.mark.parametrize("source", ["config", "path stem", "manifest"])
+def test_eval_dataset_name_with_a_control_character_exits_3(tmp_path, capsys, name, source):
+    # A carriage return or line feed in the name would split a row of results.csv.
+    if source == "config":
+        dataset = {**blobs(), "name": name}
+    elif source == "path stem":
+        (tmp_path / f"{name}.csv").write_text(FOUR_ROWS)
+        dataset = {"path": f"{name}.csv", "label_column": -1}
+    else:
+        (tmp_path / "four.csv").write_text(FOUR_ROWS)
+        manifest = {"name": name, "url": "https://example.org/four", "file": "four.csv", "label_column": -1}
+        (tmp_path / "four.json").write_text(json.dumps(manifest))
+        dataset = {"manifest": "four.json"}
+    cfg = eval_config(tmp_path, dataset=dataset, n_batches=1, batch_size=2, test_size=2)
+    out_dir = tmp_path / "o"
+    assert main(["eval", "--config", cfg, "--out-dir", str(out_dir)]) == 3
+    assert "control character" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_eval_missing_config_exits_3(tmp_path, capsys):
     assert main(["eval", "--config", str(tmp_path / "none.json")]) == 3
     assert "config file not found" in capsys.readouterr().err

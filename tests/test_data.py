@@ -1,6 +1,7 @@
 import csv
 import importlib
 import itertools
+import json
 import os
 import threading
 
@@ -433,7 +434,7 @@ def make_identifiable(n):
 def test_batch_plan_iris_tenth():
     iris = load_csv(builtin_dataset_path("iris"), "species", has_header=True)
     plan = make_batch_plan(iris, n_batches=1, batch_size=15, test_size=0, seed=4)
-    assert plan.batch(0).n_rows == 15
+    assert plan.cumulative(0).n_rows == 15
     assert plan.test.n_rows == 0
 
 
@@ -441,15 +442,15 @@ def test_batch_plan_deterministic():
     data = make_identifiable(100)
     a = make_batch_plan(data, 3, 20, 30, seed=42)
     b = make_batch_plan(data, 3, 20, 30, seed=42)
-    for x, y in zip(a.batch_indices, b.batch_indices):
-        assert np.array_equal(x, y)
-    assert np.array_equal(a.test_indices, b.test_indices)
+    assert np.array_equal(a.train.features, b.train.features)
+    assert np.array_equal(a.test.features, b.test.features)
 
 
 def test_batch_plan_disjoint_and_cumulative():
     data = make_identifiable(120)
     plan = make_batch_plan(data, 3, 20, 40, seed=9)
-    ids = [set(plan.batch(t).features[:, 0].tolist()) for t in range(plan.n_batches)]
+    rows, size = plan.train.features[:, 0].tolist(), plan.batch_size
+    ids = [set(rows[t * size : (t + 1) * size]) for t in range(plan.n_batches)]
     test_ids = set(plan.test.features[:, 0].tolist())
     assert len(ids[0] | ids[1] | ids[2] | test_ids) == 100
     assert plan.cumulative(1).n_rows == 40
@@ -458,23 +459,29 @@ def test_batch_plan_disjoint_and_cumulative():
 
 def test_cumulative_is_a_read_only_view_of_the_plan_rows():
     data = make_identifiable(30)
-    batches = (np.array([4, 9, 0]), np.array([17]), np.array([29, -2, 8, 22, 11]), np.array([13, 2]))
-    plan = BatchPlan(data, batches, np.array([5, 6]))
+    plan = make_batch_plan(data, 4, 6, 6, seed=3)
+    perm = np.random.default_rng(np.random.SeedSequence(3)).permutation(30)
     last = plan.cumulative(plan.n_batches - 1)
     for t in range(plan.n_batches):
         got = plan.cumulative(t)
-        want = data.subset(np.concatenate(batches[: t + 1]))
+        want = data.subset(perm[: (t + 1) * 6])
         assert np.array_equal(got.features, want.features)
         assert np.array_equal(got.labels, want.labels)
         assert np.shares_memory(got.features, last.features)
         assert np.shares_memory(got.labels, last.labels)
         assert not got.features.flags.writeable and not got.labels.flags.writeable
-        assert np.array_equal(plan.batch(t).features, data.subset(batches[t]).features)
     assert plan.test is plan.test
-    assert plan.test.features[:, 0].tolist() == [5.0, 6.0]
+    assert np.array_equal(plan.test.features, data.subset(perm[24:]).features)
 
 
-@pytest.mark.parametrize("method, t", [("cumulative", 5), ("cumulative", -1), ("batch", -1), ("batch", 3)])
+@pytest.mark.parametrize("batch_size, n_rows", [(0, 0), (-2, 4), (3, 4), (3, 2)])
+def test_batch_plan_rejects_rows_that_are_not_whole_batches(batch_size, n_rows):
+    data = make_identifiable(6)
+    with pytest.raises(ValueError, match="whole batches"):
+        BatchPlan(data.subset(np.arange(n_rows)), batch_size, data.subset([5]))
+
+
+@pytest.mark.parametrize("method, t", [("cumulative", 5), ("cumulative", -1)])
 def test_batch_plan_rejects_t_outside_its_batches(method, t):
     plan = make_batch_plan(make_identifiable(40), 3, 10, 10, seed=1)
     with pytest.raises(ValueError, match=rf"t={t}\b.*n_batches=3"):
@@ -603,7 +610,7 @@ def test_manifest_roundtrip(tmp_path):
         '{"name": "mini", "url": "https://example.org/mini", "file": "mini.csv", "label_column": 1}',
     )
     manifest = load_manifest(manifest_path)
-    assert manifest.is_present()
+    assert os.path.exists(manifest.local_path())
     data = dataset_from_manifest(manifest)
     assert data.n_rows == 2
 
@@ -625,7 +632,7 @@ def test_manifest_missing_data_file(tmp_path):
         '{"name": "gone", "url": "https://example.org/gone", "file": "gone.csv", "label_column": 0}',
     )
     manifest = load_manifest(manifest_path)
-    assert not manifest.is_present()
+    assert not os.path.exists(manifest.local_path())
     with pytest.raises(DataLoadError, match="download"):
         dataset_from_manifest(manifest)
 
@@ -646,6 +653,22 @@ def test_manifest_missing_fields(tmp_path):
     manifest_path = write(tmp_path, "bad.json", '{"name": "x"}')
     with pytest.raises(DataLoadError, match="missing fields"):
         load_manifest(manifest_path)
+
+
+@pytest.mark.parametrize("document", ["5", '"abc"', "[]", "null"])
+def test_manifest_must_be_a_json_object(tmp_path, document):
+    path = write(tmp_path, "odd.json", document)
+    with pytest.raises(DataLoadError, match=r"odd\.json: a manifest must be a JSON object"):
+        load_manifest(path)
+
+
+@pytest.mark.parametrize("key", ["name", "url", "file"])
+def test_manifest_names_must_be_strings(tmp_path, key):
+    document = {"name": "mini", "url": "https://example.org/mini", "file": "mini.csv", "label_column": 1}
+    document[key] = 5
+    path = write(tmp_path, "mini.json", json.dumps(document))
+    with pytest.raises(DataLoadError, match=rf"mini\.json: manifest fields must be strings: \['{key}'\]"):
+        load_manifest(path)
 
 
 def test_manifest_rejects_a_mistyped_header_flag_or_label_column(tmp_path):
@@ -670,7 +693,7 @@ SKIN_MANIFEST = os.path.join(os.path.dirname(__file__), os.pardir, "manifests", 
 
 
 @pytest.mark.skipif(
-    not (os.path.exists(SKIN_MANIFEST) and load_manifest(SKIN_MANIFEST).is_present()),
+    not (os.path.exists(SKIN_MANIFEST) and os.path.exists(load_manifest(SKIN_MANIFEST).local_path())),
     reason="skin-segmentation file not downloaded",
 )
 def test_skin_dataset_shape_when_present():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import mutate_tree, random_tree
-from treekeep import Leaf, Split, change_count, diff_table, similarity, structural_diff
+from treekeep import Leaf, Split, change_count, diff_table, structural_diff
 
 STUMP = Split(0, 2.5, Leaf(0), Leaf(1))
 
@@ -55,8 +55,8 @@ def test_descendants_of_altered_condition_are_changed_but_scored():
 
 def test_similarity_denominator_uses_larger_tree():
     big = Split(0, 2.5, Split(1, 1.0, Leaf(0), Leaf(1)), Leaf(1))
-    assert similarity(big, STUMP) < 1.0
-    assert similarity(STUMP, big) < 1.0
+    assert structural_diff(big, STUMP).similarity < 1.0
+    assert structural_diff(STUMP, big).similarity < 1.0
 
 
 def test_delta_matches_change_count_on_random_pairs():
@@ -74,7 +74,7 @@ def test_similarity_bounds_and_identity():
     for _ in range(200):
         prev = random_tree(rng)
         new = mutate_tree(rng, prev) if rng.random() < 0.5 else random_tree(rng)
-        sim = similarity(prev, new)
+        sim = structural_diff(prev, new).similarity
         assert 0.0 <= sim <= 1.0
         assert (sim == 1.0) == (prev == new)
 

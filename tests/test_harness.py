@@ -20,13 +20,14 @@ from treekeep.grow import GrowthConfig
 from treekeep.harness import (
     AlgorithmSpec,
     ExperimentConfig,
+    RESULT_COLUMNS,
     RunRecord,
+    _write_csv,
     archive_name,
     config_from_dict,
     run_eval,
     run_experiment,
     sweep,
-    write_results,
 )
 
 HARNESS_MODULE = importlib.import_module("treekeep.harness")
@@ -90,8 +91,8 @@ def test_run_experiment_deterministic(tmp_path):
     a = run_experiment(make_config())
     b = run_experiment(make_config())
     assert strip_timing(a) == strip_timing(b)
-    write_results(a, tmp_path / "a.csv")
-    write_results(b, tmp_path / "b.csv")
+    _write_csv(a, RESULT_COLUMNS, tmp_path / "a.csv")
+    _write_csv(b, RESULT_COLUMNS, tmp_path / "b.csv")
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
@@ -335,13 +336,14 @@ def test_run_eval_predicts_again_only_under_changed_nodes(tmp_path, monkeypatch,
 
 
 def test_result_tables_quote_cells_as_csv_does(tmp_path):
+    # A line feed cannot reach a cell: ExperimentConfig rejects control characters in the name.
     out = tmp_path / "exp"
-    run_eval(make_config(dataset_name='skin, v2 "rgb"\nsubset'), out)
+    run_eval(make_config(dataset_name='skin, v2 "rgb" subset'), out)
     for table in ("results.csv", "summary.csv", "timings.csv"):
         with open(out / table, newline="") as fh:
             header, *rows = csv.reader(fh)
         assert rows and all(len(row) == len(header) for row in rows)
-        assert {row[header.index("dataset")] for row in rows} == {'skin, v2 "rgb"\nsubset'}
+        assert {row[header.index("dataset")] for row in rows} == {'skin, v2 "rgb" subset'}
 
 
 def test_config_from_dict_synthetic_and_sweep():

@@ -14,16 +14,15 @@ from treekeep import (
     Split,
     best_split,
     change_count,
-    keep_original,
     loss,
     node_count,
     retrain,
-    similarity,
     structural_diff,
     update,
 )
 from treekeep.errors import InputShapeError
 from treekeep.grow import grow, grow_pruned, presort, split_search
+from treekeep.harness import AlgorithmSpec, _train_step
 from treekeep.prune import prune
 from treekeep.tree import node_at
 
@@ -48,7 +47,7 @@ def test_update_overwhelming_beta_returns_prev_exactly():
     out = update(prev, FOUR, LossParams(1.0, beta))
     assert out == prev
     assert change_count(prev, out) == 0
-    assert similarity(prev, out) == 1.0
+    assert structural_diff(prev, out).similarity == 1.0
 
 
 def test_update_keeps_leaf_when_regrowing_is_too_expensive():
@@ -157,9 +156,11 @@ def test_retrain_ignores_beta():
 
 
 def test_keep_original_is_identity():
-    assert keep_original(STUMP) is STUMP
-    assert change_count(STUMP, keep_original(STUMP)) == 0
-    assert similarity(STUMP, keep_original(STUMP)) == 1.0
+    # The harness's do-nothing baseline returns the previous tree itself, whatever the data.
+    out = _train_step(AlgorithmSpec("keep_original"), STUMP, FOUR, GrowthConfig())
+    assert out is STUMP
+    assert change_count(STUMP, out) == 0
+    assert structural_diff(STUMP, out).similarity == 1.0
 
 
 def test_update_respects_growth_config():
