@@ -20,7 +20,7 @@ import numpy as np
 from .data import Dataset
 from .diff import DiffReport
 from .errors import InputShapeError
-from .tree import Leaf, Split, Tree, _feature_matrix, _predict_into, node_count, predict
+from .tree import Leaf, Split, Tree, _feature_matrix, _predict_into, _route, node_count, predict
 
 __all__ = [
     "LossParams",
@@ -75,6 +75,8 @@ def repredict(
     """
     if pred is None:
         return predict(new, features)
+    if report is None:
+        raise ValueError("previous predictions need their diff report to be predicted again")
     features = _feature_matrix(new, features)
     if len(pred) != features.shape[0]:
         raise InputShapeError(f"{len(pred)} predictions for {features.shape[0]} rows")
@@ -85,17 +87,15 @@ def repredict(
     # The topmost changed nodes and the kept splits on the way to them.
     toward = {path[:i] for path in tops for i in range(len(path) + 1)}
     out = pred.copy()
-    stack = [(new, "", np.arange(features.shape[0]))]
+    stack = [(new, "", None)]
     while stack:
         node, path, idx = stack.pop()
         if path in tops:
             _predict_into(node, features, idx, out)
             continue
-        goes_left = features[idx, node.feature] <= node.threshold
-        if path + "L" in toward:
-            stack.append((node.left, path + "L", idx[goes_left]))
-        if path + "R" in toward:
-            stack.append((node.right, path + "R", idx[~goes_left]))
+        for child, step, rows in zip((node.left, node.right), "LR", _route(node, features, idx)):
+            if path + step in toward:
+                stack.append((child, path + step, rows))
     return out
 
 

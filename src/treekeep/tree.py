@@ -3,8 +3,10 @@
 A tree is either a ``Split`` (feature index, threshold, left/right subtrees)
 or a ``Leaf`` (class label).  Rows with ``value <= threshold`` go left, rows
 with ``value > threshold`` go right; every module in the package shares this
-one predicate.  Trees are immutable values: safe to share, hash-free, and
-compared structurally.
+one predicate.  ``_route`` is the one place that sends rows down a split:
+``predict`` walks with it on an explicit stack, so any depth works, and
+``loss.repredict`` walks with it to the nodes that changed.  Trees are
+immutable values: safe to share, hash-free, and compared structurally.
 """
 
 from __future__ import annotations
@@ -93,19 +95,31 @@ def predict(tree: Tree, features: np.ndarray) -> np.ndarray:
     """Class label of every row of a feature matrix; equal-to-threshold goes left."""
     features = _feature_matrix(tree, features)
     out = np.empty(features.shape[0], dtype=np.int64)
-    _predict_into(tree, features, np.arange(features.shape[0]), out)
+    _predict_into(tree, features, None, out)
     return out
 
 
-def _predict_into(node, features, idx, out):
-    if isinstance(node, Leaf):
-        out[idx] = node.class_label
-        return
-    if idx.size == 0:
-        return
-    goes_left = features[idx, node.feature] <= node.threshold
-    _predict_into(node.left, features, idx[goes_left], out)
-    _predict_into(node.right, features, idx[~goes_left], out)
+def _route(node: Split, features: np.ndarray, idx: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``idx`` that go left and right at ``node``; ``None`` stands for every row."""
+    column = features[:, node.feature]
+    if idx is None:
+        goes_left = column <= node.threshold
+        return np.flatnonzero(goes_left), np.flatnonzero(~goes_left)
+    goes_left = column[idx] <= node.threshold
+    return idx.compress(goes_left), idx.compress(~goes_left)
+
+
+def _predict_into(node: Tree, features: np.ndarray, idx: Optional[np.ndarray], out: np.ndarray) -> None:
+    """Write the class under ``node`` of each row of ``idx`` (every row when ``None``) into ``out``."""
+    stack = [(node, idx)]
+    while stack:
+        node, idx = stack.pop()
+        if isinstance(node, Leaf):
+            out[... if idx is None else idx] = node.class_label
+        elif idx is None or idx.size:
+            left, right = _route(node, features, idx)
+            stack.append((node.right, right))
+            stack.append((node.left, left))
 
 
 def node_count(tree: Tree) -> int:

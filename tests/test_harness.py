@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from treekeep import (
-    Leaf,
     accuracy_ci_halfwidth,
     load_tree,
     misclassification_count,
@@ -293,20 +292,20 @@ def test_run_eval_artifacts_and_rederivable_records(tmp_path):
 
 @pytest.mark.parametrize("algorithm", ["keep_regrow", "retrain"])
 def test_run_eval_predicts_again_only_under_changed_nodes(tmp_path, monkeypatch, algorithm):
-    # Test rows that reach a leaf, per batch, in the order the batches run;
-    # the updates' predictions on their training data are not counted.
-    rows_at_leaves = []
+    # Test rows predicted, per batch, in the order the batches run; the
+    # updates' predictions on their training data are not counted.
+    rows_predicted = []
     scoring = []  # set while the harness predicts its test rows
     predict_into = importlib.import_module("treekeep.tree")._predict_into
     repredict = HARNESS_MODULE.repredict
 
     def counted_predict_into(node, features, idx, out):
-        if scoring and isinstance(node, Leaf):
-            rows_at_leaves[-1] += idx.size
+        if scoring:  # no index set stands for every row
+            rows_predicted[-1] += len(out) if idx is None else idx.size
         predict_into(node, features, idx, out)
 
     def flagged_repredict(*args):  # the stream scores each record once
-        rows_at_leaves.append(0)
+        rows_predicted.append(0)
         scoring.append(True)
         try:
             return repredict(*args)
@@ -319,9 +318,9 @@ def test_run_eval_predicts_again_only_under_changed_nodes(tmp_path, monkeypatch,
     config = make_config(algorithm, alpha=0.5, n_runs=3, n_batches=5, batch_size=40, test_size=100)
     out = tmp_path / "exp"
     records = run_eval(config, out)
-    assert len(rows_at_leaves) == len(records)
+    assert len(rows_predicted) == len(records)
     unchanged = 0
-    for r, rows in zip(records, rows_at_leaves):
+    for r, rows in zip(records, rows_predicted):
         if r.batch == 0:
             assert rows == config.test_size
         elif r.delta == 0:

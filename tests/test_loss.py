@@ -223,3 +223,5 @@ def test_repredict_checks_its_input():
         repredict(STUMP, XDATA[:, 0], pred, report)
     with pytest.raises(InputShapeError):
         repredict(STUMP, XDATA, pred[:-1], report)
+    with pytest.raises(ValueError, match="diff report"):
+        repredict(STUMP, XDATA, pred)

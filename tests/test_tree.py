@@ -15,7 +15,9 @@ from treekeep import (
     structural_diff,
     to_dot,
 )
+from treekeep.diff import DiffEntry, DiffReport
 from treekeep.errors import InputShapeError, TreeFormatError
+from treekeep.loss import repredict
 from treekeep.tree import iter_nodes, max_feature
 
 STUMP = Split(0, 2.5, Leaf(0), Leaf(1))
@@ -38,6 +40,18 @@ def test_predict_agrees_with_reference_walk():
         data = random_dataset(rng)
         expected = [ref_classify(tree, row) for row in data.features]
         assert predict(tree, data.features).tolist() == expected
+    # The root reads its column in place, whatever the matrix's layout or type.
+    wide = rng.integers(0, 9, size=(40, 6)) / 2.0
+    one_sided = Split(1, 100.0, FULL2, Leaf(2))
+    for tree, matrix in [
+        (FULL2, wide[:, ::2]),
+        (FULL2, np.asfortranarray(wide)),
+        (FULL2, wide.astype(np.int64)),
+        (FULL2, wide[:0]),
+        (one_sided, wide),
+    ]:
+        expected = [ref_classify(tree, row) for row in matrix]
+        assert predict(tree, matrix).tolist() == expected
 
 
 def test_predict_rejects_narrow_matrix():
@@ -71,6 +85,16 @@ def test_walkers_return_on_a_5000_deep_chain():
     paths = [path for path, _ in iter_nodes(tree)]
     assert len(paths) == 10001 and paths[-1] == "R" * 5000
     assert to_dot(tree).count(" -> ") == 10000
+    rows = np.array([[0.0], [1.0]])  # 1.0 goes right at every split, to the deepest leaf
+    pred = predict(tree, rows)
+    assert pred.tolist() == [0, 1]
+    flipped = Leaf(0)
+    for _ in range(5000):
+        flipped = Split(0, 0.5, Leaf(0), flipped)
+    # structural_diff still recurses, so the report is built here.
+    deepest = "R" * 5000
+    entries = tuple(DiffEntry(p, "changed" if p == deepest else "kept", 0.0) for p, _ in iter_nodes(flipped))
+    assert repredict(flipped, rows, pred, DiffReport(entries, 1, 0.0)).tolist() == [0, 0]
 
 
 def test_depth():
