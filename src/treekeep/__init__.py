@@ -37,9 +37,7 @@ from .harness import (
     SummaryRow,
     accuracy_ci_halfwidth,
     run_eval,
-    run_experiment,
     summarize,
-    sweep,
 )
 from .loss import LossBreakdown, LossParams, change_count, loss, misclassification_count
 from .tree import (

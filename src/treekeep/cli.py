@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 
 from . import __version__
 from .data import load_csv
@@ -144,9 +143,9 @@ def cmd_eval(args) -> int:
             f"{args.config}: line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
     base_dir = os.path.dirname(os.path.abspath(args.config))
+    if isinstance(obj, dict):  # the flags override the file's keys before the config is checked
+        obj.update({key: getattr(args, key) for key in INT_KEYS if getattr(args, key) is not None})
     config, alphas, betas = config_from_dict(obj, base_dir)
-    overrides = {key: getattr(args, key) for key in INT_KEYS if getattr(args, key) is not None}
-    config = replace(config, **overrides)
     out_dir = args.out_dir or os.environ.get(OUT_DIR_ENV) or os.path.join(base_dir, "eval_out")
     records = run_eval(config, out_dir, alphas, betas)
     print(f"wrote {len(records)} records to {os.path.join(out_dir, 'results.csv')}")

@@ -53,25 +53,23 @@ def structural_diff(prev: Tree, new: Tree) -> DiffReport:
     variable, and sum into ``similarity`` over the larger tree's node count.
     """
     entries: list[DiffEntry] = []
-    _walk(prev, new, "", False, entries)
+    stack = [("", prev, new, False)]  # right pushed before left: the entries stay in preorder
+    while stack:
+        path, old, now, ancestor_changed = stack.pop()
+        score = _match_score(old, now)
+        if score == 0.0:
+            entries.extend(DiffEntry(p, "changed", 0.0) for p, _ in iter_nodes(now, path))
+            continue
+        exact = score == 1.0
+        entries.append(DiffEntry(path, "kept" if exact and not ancestor_changed else "changed", score))
+        if isinstance(now, Split):  # a nonzero score means old is a Split too
+            below_changed = ancestor_changed or not exact
+            stack.append((path + "R", old.right, now.right, below_changed))
+            stack.append((path + "L", old.left, now.left, below_changed))
     delta = sum(1 for e in entries if e.status == "changed")
     score = sum(e.match_score for e in entries)
     sim = score / max(node_count(prev), node_count(new))
     return DiffReport(tuple(entries), delta, sim)
-
-
-def _walk(prev, new, path, ancestor_changed, entries):
-    score = _match_score(prev, new)
-    if score == 0.0:
-        entries.extend(DiffEntry(p, "changed", 0.0) for p, _ in iter_nodes(new, path))
-        return
-    exact = score == 1.0
-    status = "kept" if exact and not ancestor_changed else "changed"
-    entries.append(DiffEntry(path, status, score))
-    if isinstance(new, Split):  # a nonzero score means prev is a Split too
-        below_changed = ancestor_changed or not exact
-        _walk(prev.left, new.left, path + "L", below_changed, entries)
-        _walk(prev.right, new.right, path + "R", below_changed, entries)
 
 
 def diff_table(report: DiffReport) -> str:

@@ -51,8 +51,6 @@ __all__ = [
     "ExperimentConfig",
     "RunRecord",
     "SummaryRow",
-    "run_experiment",
-    "sweep",
     "summarize",
     "accuracy_ci_halfwidth",
     "run_eval",
@@ -94,14 +92,11 @@ class ExperimentConfig:
     growth: GrowthConfig = field(default_factory=GrowthConfig)
 
     def __post_init__(self):
-        if self.n_runs < 1:
-            raise ConfigError("n_runs must be >= 1")
-        if self.n_batches < 1:
-            raise ConfigError("n_batches must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if self.test_size < 0:
-            raise ConfigError("test_size must be >= 0")
+        for key, low in (("n_runs", 1), ("n_batches", 1), ("batch_size", 1), ("test_size", 0), ("seed", 0)):
+            if getattr(self, key) < low:
+                raise ConfigError(f"{key} must be >= {low}")
+        if self.dataset.n_rows < self.batch_size:
+            raise ConfigError(f"batch_size {self.batch_size} is more than the dataset's {self.dataset.n_rows} rows")
         # A control character such as a carriage return would split a row of the result tables.
         if any(unicodedata.category(c) == "Cc" for c in str(self.dataset_name)):
             raise ConfigError(f"dataset name {self.dataset_name!r} holds a control character")
@@ -156,7 +151,7 @@ def _timed(step, *args):
 
 
 def _run_tracks(
-    config: ExperimentConfig, tracks: Sequence[tuple[AlgorithmSpec, range]], archive_dir: Optional[str] = None
+    config: ExperimentConfig, tracks: Sequence[tuple[AlgorithmSpec, range]], archive_dir: str
 ) -> tuple[list[RunRecord], int, set[str]]:
     """Every run of ``tracks``, canonically sorted, the rows each run's test
     set holds, and the names of the tree files saved under ``archive_dir``.
@@ -181,7 +176,7 @@ def _run_tracks(
             tree, elapsed_ms = roots[algorithm.alpha]
             # Predicted per track, not kept with the root: a stream then holds
             # at most two arrays of test classes at once.
-            pred = repredict(tree, test.features) if test.n_rows else None
+            pred = repredict(None, tree, test.features) if test.n_rows else None
             delta = sim = None
             for t in range(min(recorded.stop, plan.n_batches)):
                 if t > 0:
@@ -191,7 +186,7 @@ def _run_tracks(
                     delta, sim = report.delta, report.similarity
                     if pred is not None:
                         # Rows that reach no changed node keep the previous tree's class.
-                        pred = repredict(tree, test.features, pred, report)
+                        pred = repredict(prev, tree, test.features, pred)
                 record = RunRecord(
                     dataset=config.dataset_name,
                     algorithm=algorithm.name,
@@ -205,10 +200,9 @@ def _run_tracks(
                     similarity=sim,
                     wall_time_ms=elapsed_ms,
                 )
-                if archive_dir is not None:
-                    name = archive_name(record)
-                    save_tree(tree, os.path.join(archive_dir, name))
-                    saved.add(name)
+                name = archive_name(record)
+                save_tree(tree, os.path.join(archive_dir, name))
+                saved.add(name)
                 if t in recorded:
                     records.append(record)
     records.sort(key=_row_order)
@@ -218,7 +212,7 @@ def _run_tracks(
 def _sweep_tracks(
     config: ExperimentConfig, alphas: Sequence[float], betas: Sequence[float]
 ) -> list[tuple[AlgorithmSpec, range]]:
-    """``sweep``'s tracks: batch 0 at each alpha, then batch 1 at each beta and of each baseline."""
+    """A sweep's tracks: batch 0 at each alpha, then batch 1 at each beta and of each baseline."""
     if not alphas and not betas:
         raise ConfigError("sweep needs at least one alpha or beta value")
     full = config.dataset.n_rows // config.batch_size  # full batches, as make_batch_plan counts them
@@ -238,26 +232,6 @@ def _sweep_tracks(
         tracks += [(AlgorithmSpec("keep_regrow", fixed_alpha, beta), range(1, 2)) for beta in betas]
         tracks += [(AlgorithmSpec(baseline, fixed_alpha), range(1, 2)) for baseline in ("retrain", "keep_original")]
     return tracks
-
-
-def run_experiment(config: ExperimentConfig) -> list[RunRecord]:
-    """All runs of one algorithm over the batch stream; canonically sorted."""
-    return _run_tracks(config, [(config.algorithm, range(config.n_batches))])[0]
-
-
-def sweep(config: ExperimentConfig, alphas: Sequence[float], betas: Sequence[float]) -> list[RunRecord]:
-    """Parameter exploration around one config.
-
-    The alpha sweep prunes the very first batch's tree at each alpha (no
-    updating involved, batch 0 only).  The beta sweep holds alpha at the
-    config's value and records batch-1 metrics for each beta, alongside the
-    retrain and keep-original baseline rows for the same batch.  Equal
-    values in one grid, or values that print alike, raise ``ConfigError``.
-
-    Each run draws its plan once and trains its batch-0 tree once per alpha,
-    one run at a time, so only one plan is held at once.
-    """
-    return _run_tracks(config, _sweep_tracks(config, alphas, betas))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -393,10 +367,21 @@ def run_eval(
     alphas: Optional[Sequence[float]] = None,
     betas: Optional[Sequence[float]] = None,
 ) -> list[RunRecord]:
-    """Run the experiment (or a sweep when grids are given) and write artifacts.
+    """Run the experiment, or a sweep when grids are given, and write artifacts.
 
-    Produces results.csv and summary.csv (deterministic), timings.csv,
-    manifest.json, and one tree file per (run, batch) under trees/.
+    Without grids every run records each batch of ``config.algorithm``'s
+    stream.  A sweep explores parameters around the config instead.  The
+    alpha sweep prunes the very first batch's tree at each alpha (no
+    updating involved, batch 0 only).  The beta sweep holds alpha at the
+    config's value and records batch-1 metrics for each beta, alongside the
+    retrain and keep-original baseline rows for the same batch.  Equal
+    values in one grid, or values that print alike, raise ``ConfigError``.
+
+    Each run draws its plan once and trains its batch-0 tree once per alpha,
+    one run at a time, so only one plan is held at once.  Produces
+    results.csv and summary.csv (deterministic), timings.csv, manifest.json,
+    and one tree file per (run, batch) under trees/; records come back
+    canonically sorted.
     """
     started = time.perf_counter()
     if alphas is not None or betas is not None:

@@ -18,7 +18,6 @@ from typing import Optional
 import numpy as np
 
 from .data import Dataset
-from .diff import DiffReport
 from .errors import InputShapeError
 from .tree import Leaf, Split, Tree, _feature_matrix, _predict_into, _route, node_count, predict
 
@@ -60,28 +59,43 @@ def misclassification_count(tree: Tree, data: Dataset) -> int:
     return int(np.sum(predict(tree, data.features) != data.labels))
 
 
-def repredict(
-    new: Tree, features, pred: Optional[np.ndarray] = None, report: Optional[DiffReport] = None
-) -> np.ndarray:
+def _changed_tops(prev: Tree, new: Tree):
+    """``(path, subtree)`` of each topmost node of ``new`` not present in ``prev``, in preorder.
+
+    Nodes match pairwise from the root down: splits must agree on feature and
+    threshold, leaves on class.  Any mismatch (including a split standing
+    where a leaf stood, or vice versa) yields the new subtree at that
+    position; the walk does not descend into it.
+    """
+    stack = [("", prev, new)]
+    while stack:
+        path, old, now = stack.pop()
+        if (
+            isinstance(old, Split)
+            and isinstance(now, Split)
+            and old.feature == now.feature
+            and old.threshold == now.threshold
+        ):
+            stack.append((path + "R", old.right, now.right))
+            stack.append((path + "L", old.left, now.left))
+        elif not (isinstance(old, Leaf) and isinstance(now, Leaf) and old.class_label == now.class_label):
+            yield path, now
+
+
+def repredict(prev: Optional[Tree], new: Tree, features, pred: Optional[np.ndarray] = None) -> np.ndarray:
     """The class of every row of ``features`` under ``new``, as ``predict`` gives it.
 
-    Given ``pred``, the classes under the previous tree, and ``report``, that
-    tree's ``structural_diff`` against ``new``, only the rows that reach a
-    topmost changed node (a changed root, or a changed node with a kept
-    parent) are predicted again.  By ``change_count``'s rules a kept node and
-    every split above it are the previous tree's, so every other row keeps
-    its class.  ``pred`` is never written to; it is returned as it is when
-    no node changed.
+    Given ``prev`` and ``pred``, its classes, only the rows that reach a
+    topmost changed node are predicted again: every split above such a node
+    is ``prev``'s, so every other row keeps its class.  ``pred`` is never
+    written to; it is returned as it is when no node changed.
     """
-    if pred is None:
+    if prev is None:
         return predict(new, features)
-    if report is None:
-        raise ValueError("previous predictions need their diff report to be predicted again")
     features = _feature_matrix(new, features)
-    if len(pred) != features.shape[0]:
-        raise InputShapeError(f"{len(pred)} predictions for {features.shape[0]} rows")
-    kept = {e.path for e in report.entries if e.status == "kept"}
-    tops = {e.path for e in report.entries if e.status == "changed" and (not e.path or e.path[:-1] in kept)}
+    if pred is None or len(pred) != features.shape[0]:
+        raise InputShapeError(f"{'no' if pred is None else len(pred)} predictions for {features.shape[0]} rows")
+    tops = {path for path, _ in _changed_tops(prev, new)}
     if not tops:
         return pred
     # The topmost changed nodes and the kept splits on the way to them.
@@ -100,25 +114,11 @@ def repredict(
 
 
 def change_count(prev: Optional[Tree], new: Tree) -> int:
-    """Nodes of ``new`` that are not present in ``prev``.
-
-    Nodes match pairwise from the root down: splits must agree on feature and
-    threshold, leaves on class.  Any mismatch (including a split standing
-    where a leaf stood, or vice versa) marks the entire new subtree at that
-    position as changed.  With no previous tree every node is new.
-    """
+    """Nodes of ``new`` not present in ``prev``: those of every subtree ``_changed_tops``
+    yields, or all of them with no previous tree."""
     if prev is None:
         return node_count(new)
-    if isinstance(prev, Leaf) and isinstance(new, Leaf):
-        return 0 if prev.class_label == new.class_label else 1
-    if (
-        isinstance(prev, Split)
-        and isinstance(new, Split)
-        and prev.feature == new.feature
-        and prev.threshold == new.threshold
-    ):
-        return change_count(prev.left, new.left) + change_count(prev.right, new.right)
-    return node_count(new)
+    return sum(node_count(top) for _, top in _changed_tops(prev, new))
 
 
 def breakdown(f: int, c: int, d: int, params: LossParams) -> LossBreakdown:

@@ -41,7 +41,7 @@ from treekeep.grow import grow
 from treekeep.harness import (
     AlgorithmSpec,
     ExperimentConfig,
-    run_experiment,
+    run_eval,
     summarize,
 )
 from treekeep.prune import prune
@@ -198,7 +198,7 @@ def load_skin_or_standin():
     return "skin-like-synthetic", synthetic(SKIN_LIKE, seed=2024)
 
 
-def test_criterion_7_desk_scale_benchmark():
+def test_criterion_7_desk_scale_benchmark(tmp_path):
     name, pool = load_skin_or_standin()
     means = {}
     for algo, beta in (("keep_regrow", 1.0), ("retrain", 0.0)):
@@ -212,7 +212,7 @@ def test_criterion_7_desk_scale_benchmark():
             test_size=100000,
             seed=7,
         )
-        records = run_experiment(config)
+        records = run_eval(config, tmp_path / algo)
         assert len(records) == 5 * 10
         accuracy = float(np.mean([r.accuracy for r in records]))
         sim = float(np.mean([r.similarity for r in records if r.similarity is not None]))

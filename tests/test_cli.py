@@ -273,6 +273,33 @@ def test_eval_flag_overrides_config(tmp_path):
     assert len(lines) == 1 + 1 * 3
 
 
+@pytest.mark.parametrize(
+    "key, value, match",
+    [("seed", -1, "seed must be >= 0"), ("batch_size", 200, "batch_size 200 is more than the dataset's 150 rows")],
+    ids=["seed_negative", "batch_over_iris"],
+)
+@pytest.mark.parametrize("source", ["file", "flag"])
+def test_eval_config_that_no_plan_can_draw_exits_3(tmp_path, capsys, key, value, match, source):
+    # Both used to fail only when the first plan was drawn, after trees/ was made.
+    cfg = eval_config(tmp_path, dataset={"builtin": "iris"}, **({key: value} if source == "file" else {}))
+    flags = ["--" + key.replace("_", "-"), str(value)] if source == "flag" else []
+    out_dir = tmp_path / "o"
+    assert main(["eval", "--config", cfg, "--out-dir", str(out_dir), *flags]) == 3
+    assert match in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_eval_flag_overrides_before_the_config_is_checked(tmp_path):
+    # The file's default batch_size (1000) is more than iris's 150 rows; the flag's 50 is not.
+    cfg = eval_config(tmp_path, dataset={"builtin": "iris"}, n_batches=2)
+    obj = json.loads(Path(cfg).read_text())
+    del obj["batch_size"]
+    Path(cfg).write_text(json.dumps(obj))
+    out_dir = tmp_path / "o"
+    assert main(["eval", "--config", cfg, "--out-dir", str(out_dir), "--batch-size", "50"]) == 0
+    assert json.loads((out_dir / "manifest.json").read_text())["batch_size"] == 50
+
+
 def test_eval_deterministic_bytes(tmp_path):
     cfg = eval_config(tmp_path)
     out_a, out_b = tmp_path / "a", tmp_path / "b"

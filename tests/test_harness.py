@@ -25,8 +25,6 @@ from treekeep.harness import (
     archive_name,
     config_from_dict,
     run_eval,
-    run_experiment,
-    sweep,
 )
 
 HARNESS_MODULE = importlib.import_module("treekeep.harness")
@@ -64,8 +62,8 @@ def strip_timing(records):
     ]
 
 
-def test_record_bookkeeping():
-    records = run_experiment(make_config())
+def test_record_bookkeeping(tmp_path):
+    records = run_eval(make_config(), tmp_path / "exp")
     assert len(records) == 2 * 3
     assert {r.batch for r in records} == {0, 1, 2}
     for r in records:
@@ -75,8 +73,8 @@ def test_record_bookkeeping():
             assert r.delta is not None and r.similarity is not None
 
 
-def test_keep_original_stream():
-    records = run_experiment(make_config("keep_original", alpha=1.0))
+def test_keep_original_stream(tmp_path):
+    records = run_eval(make_config("keep_original", alpha=1.0), tmp_path / "exp")
     for r in records:
         if r.batch > 0:
             assert r.delta == 0
@@ -87,18 +85,18 @@ def test_keep_original_stream():
 
 
 def test_run_experiment_deterministic(tmp_path):
-    a = run_experiment(make_config())
-    b = run_experiment(make_config())
+    a = run_eval(make_config(), tmp_path / "a")
+    b = run_eval(make_config(), tmp_path / "b")
     assert strip_timing(a) == strip_timing(b)
     _write_csv(a, RESULT_COLUMNS, tmp_path / "a.csv")
     _write_csv(b, RESULT_COLUMNS, tmp_path / "b.csv")
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
-def test_baseline_beta_labels():
-    records = run_experiment(make_config("retrain", alpha=1.0))
+def test_baseline_beta_labels(tmp_path):
+    records = run_eval(make_config("retrain", alpha=1.0), tmp_path / "retrain")
     assert all(r.beta is None and r.label == "beta=-100" for r in records)
-    records = run_experiment(make_config("keep_original", alpha=1.0))
+    records = run_eval(make_config("keep_original", alpha=1.0), tmp_path / "keep_original")
     assert all(r.label == "beta=100" for r in records)
 
 
@@ -148,16 +146,16 @@ def test_accuracy_ci_halfwidth_formula():
     assert accuracy_ci_halfwidth(0.5, 0) is None
 
 
-def test_sweep_alpha_rows_shrink_with_alpha():
-    records = sweep(make_config(alpha=5.0), alphas=[0.0, 1.0, 5.0, 100.0], betas=[])
+def test_sweep_alpha_rows_shrink_with_alpha(tmp_path):
+    records = run_eval(make_config(alpha=5.0), tmp_path / "exp", alphas=[0.0, 1.0, 5.0, 100.0], betas=[])
     assert {r.batch for r in records} == {0}
     for run in (0, 1):
         sizes = [r.nodes for r in sorted(records, key=lambda r: r.alpha) if r.run == run]
         assert sizes == sorted(sizes, reverse=True)
 
 
-def test_sweep_beta_rows_and_baselines():
-    records = sweep(make_config(alpha=5.0), alphas=[5.0], betas=[0.0, 1.0, 1000.0])
+def test_sweep_beta_rows_and_baselines(tmp_path):
+    records = run_eval(make_config(alpha=5.0), tmp_path / "exp", alphas=[5.0], betas=[0.0, 1.0, 1000.0])
     by_algo = {}
     for r in records:
         by_algo.setdefault((r.algorithm, r.beta), []).append(r)
@@ -178,7 +176,7 @@ def test_sweep_beta_rows_and_baselines():
     assert frozen == keep
 
 
-def test_sweep_draws_one_plan_per_run(monkeypatch):
+def test_sweep_draws_one_plan_per_run(tmp_path, monkeypatch):
     seeds = []
 
     def counted_plan(*args):
@@ -187,12 +185,12 @@ def test_sweep_draws_one_plan_per_run(monkeypatch):
 
     monkeypatch.setattr(HARNESS_MODULE, "make_batch_plan", counted_plan)
     config = make_config(n_runs=3)
-    records = sweep(config, alphas=[0.0, 1.0, 5.0], betas=[0.0, 1.0, 100.0])
+    records = run_eval(config, tmp_path / "exp", alphas=[0.0, 1.0, 5.0], betas=[0.0, 1.0, 100.0])
     assert seeds == [(config.seed, run) for run in range(3)]
     assert len(records) == 3 * (3 + 3 + 2)
 
 
-def test_sweep_trains_batch_0_once_per_alpha(monkeypatch):
+def test_sweep_trains_batch_0_once_per_alpha(tmp_path, monkeypatch):
     # The config's alpha is one of the swept ones: the beta grid and the
     # baselines continue from the alpha sweep's batch-0 tree.
     config = make_config(alpha=1.0, n_runs=3)
@@ -205,7 +203,7 @@ def test_sweep_trains_batch_0_once_per_alpha(monkeypatch):
         return retrain(data, params, *args)
 
     monkeypatch.setattr(HARNESS_MODULE, "retrain", counted_retrain)
-    sweep(config, alphas=[0.0, 1.0, 5.0], betas=[0.0, 1.0, 100.0])
+    run_eval(config, tmp_path / "exp", alphas=[0.0, 1.0, 5.0], betas=[0.0, 1.0, 100.0])
     assert sorted(batch_0_alphas) == [0.0] * 3 + [1.0] * 3 + [5.0] * 3
 
 
@@ -230,7 +228,7 @@ def test_beta_sweep_rejects_data_too_short_for_2_batches(tmp_path):
     assert not (tmp_path / "exp").exists()
     # An alpha sweep records batch 0 only, so it runs.
     with pytest.warns(UserWarning, match="supports only 1 of the requested 2 batches"):
-        assert len(sweep(config, alphas=[1.0], betas=[])) == config.n_runs
+        assert len(run_eval(config, tmp_path / "exp", alphas=[1.0], betas=[])) == config.n_runs
 
 
 def test_summary_ci_uses_the_test_rows_the_plan_holds(tmp_path):
@@ -247,19 +245,20 @@ def test_summary_ci_uses_the_test_rows_the_plan_holds(tmp_path):
         assert float(row["accuracy_ci95"]) == accuracy_ci_halfwidth(p, 100)
 
 
-def test_sweep_warns_once_per_run_when_the_data_runs_short():
+def test_sweep_warns_once_per_run_when_the_data_runs_short(tmp_path):
     # 400 rows hold 13 batches of 30, leaving 10 rows for a test set of 60.
     config = make_config(n_runs=2, n_batches=20, batch_size=30, test_size=60)
     with pytest.warns(UserWarning) as caught:
-        sweep(config, alphas=[1.0], betas=[1.0])
+        run_eval(config, tmp_path / "exp", alphas=[1.0], betas=[1.0])
     messages = [str(w.message) for w in caught]
     assert sum("requested 20 batches" in m for m in messages) == 2
     assert sum("test set" in m for m in messages) == 2
 
 
-def test_sweep_needs_values():
-    with pytest.raises(ConfigError):
-        sweep(make_config(), alphas=[], betas=[])
+def test_sweep_needs_values(tmp_path):
+    with pytest.raises(ConfigError, match="at least one alpha or beta"):
+        run_eval(make_config(), tmp_path / "exp", alphas=[], betas=[])
+    assert not (tmp_path / "exp").exists()
 
 
 def test_run_eval_artifacts_and_rederivable_records(tmp_path):
@@ -375,7 +374,7 @@ def test_config_from_dict_synthetic_and_sweep():
 
 def test_config_from_dict_builtin():
     config, alphas, betas = config_from_dict(
-        {"dataset": {"builtin": "iris"}, "algorithm": {"name": "retrain"}, "n_runs": 1}
+        {"dataset": {"builtin": "iris"}, "algorithm": {"name": "retrain"}, "n_runs": 1, "batch_size": 50}
     )
     assert config.dataset.n_rows == 150
     assert alphas is None and betas is None
@@ -416,7 +415,7 @@ RETRAIN = {"name": "retrain"}
         ({"dataset": IRIS, "algorithm": "retrain"}, "'algorithm' object"),
         ({"dataset": "iris", "algorithm": RETRAIN}, "'dataset' must be an object"),
         ({"dataset": {"name": "iris"}, "algorithm": RETRAIN}, "dataset must specify one of"),
-        ({"dataset": IRIS, "algorithm": RETRAIN, "sweep": {"gammas": [1]}}, "'sweep' takes only"),
+        ({"dataset": IRIS, "algorithm": RETRAIN, "batch_size": 50, "sweep": {"gammas": [1]}}, "'sweep' takes only"),
         ({"dataset": IRIS, "algorithm": RETRAIN, "n_runs": 0}, "n_runs must be >= 1"),
         ({"dataset": IRIS, "algorithm": RETRAIN, "n_batches": 0}, "n_batches must be >= 1"),
         ({"dataset": IRIS, "algorithm": RETRAIN, "batch_size": 0}, "batch_size must be >= 1"),
@@ -454,8 +453,10 @@ def test_config_rejects_a_malformed_document(tmp_path, obj, match):
 
 
 def test_config_omitted_keys_take_dataclass_defaults():
-    config, _, _ = config_from_dict({"dataset": {"builtin": "iris"}, "algorithm": {"name": "retrain"}})
-    assert config == ExperimentConfig(config.dataset, "iris", AlgorithmSpec("retrain"))
+    # The default batch_size is 1000, so the dataset holds one batch of it.
+    ref = {"synthetic": {"n_rows": 1000, "n_features": 2}}
+    config, _, _ = config_from_dict({"dataset": ref, "algorithm": {"name": "retrain"}})
+    assert config == ExperimentConfig(config.dataset, "synthetic", AlgorithmSpec("retrain"))
     assert config.growth == GrowthConfig()
 
 
@@ -503,7 +504,7 @@ def test_config_dataset_ref_accepts_every_key_of_its_kind(tmp_path):
         {"synthetic": {"n_rows": 20, "n_features": 2}, "name": "blobs"},
     ]
     for ref, name in zip(refs, ["iris", "pts", "blobs"]):
-        obj = {"dataset": ref, "algorithm": {"name": "retrain"}}
+        obj = {"dataset": ref, "algorithm": {"name": "retrain"}, "batch_size": 2}
         config, _, _ = config_from_dict(obj, str(tmp_path))
         assert config.dataset_name == name
 
@@ -523,7 +524,7 @@ def test_manifest_tree_files_skip_earlier_runs_in_the_same_dir(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["n_records"] == 3
     assert len(list((out / "trees").iterdir())) == 6
-    expected = sorted(archive_name(r) for r in run_experiment(make_config(n_runs=1)))
+    expected = sorted(archive_name(r) for r in run_eval(make_config(n_runs=1), tmp_path / "alone"))
     assert manifest["tree_files"] == expected
 
 
@@ -538,6 +539,7 @@ def test_config_dataset_path_defaults_name_to_stem(tmp_path):
         {
             "dataset": {"path": "points.csv", "label_column": "target", "has_header": True},
             "algorithm": {"name": "retrain"},
+            "batch_size": 3,
         },
         str(tmp_path),
     )
@@ -551,7 +553,7 @@ def test_config_dataset_manifest(tmp_path):
     manifest = {"name": "rows", "url": "https://example.org/rows", "file": "rows.txt", "label_column": 2}
     (tmp_path / "rows.json").write_text(json.dumps(manifest))
     config, _, _ = config_from_dict(
-        {"dataset": {"manifest": "rows.json"}, "algorithm": {"name": "retrain"}}, str(tmp_path)
+        {"dataset": {"manifest": "rows.json"}, "algorithm": {"name": "retrain"}, "batch_size": 2}, str(tmp_path)
     )
     assert config.dataset_name == "rows"
     assert config.dataset.n_rows == 2

@@ -16,7 +16,7 @@ from treekeep import (
     structural_diff,
 )
 from treekeep.errors import InputShapeError
-from treekeep.loss import repredict
+from treekeep.loss import _changed_tops, repredict
 
 STUMP = Split(0, 2.5, Leaf(0), Leaf(1))
 XDATA = np.array([[1.0], [2.0], [3.0], [4.0]])
@@ -200,11 +200,13 @@ def test_repredict_matches_predict():
         pred = predict(prev, features)
         before = pred.copy()
         report = structural_diff(prev, new)
-        got = repredict(new, features, pred, report)
+        got = repredict(prev, new, features, pred)
         assert np.array_equal(got, predict(new, features))
         assert np.array_equal(pred, before)  # never written to
+        # structural_diff is an independent oracle for the walk repredict routes by.
         kept = {e.path for e in report.entries if e.status == "kept"}
         tops = [e.path for e in report.entries if e.status == "changed" and (not e.path or e.path[:-1] in kept)]
+        assert [path for path, _ in _changed_tops(prev, new)] == tops
         if not tops:
             assert got is pred
             seen.add("identical")
@@ -215,13 +217,12 @@ def test_repredict_matches_predict():
 
 def test_repredict_checks_its_input():
     pred = predict(STUMP, XDATA)
-    report = structural_diff(STUMP, STUMP)
     wide = Split(1, 0.0, Leaf(0), Leaf(1))
     with pytest.raises(InputShapeError):  # even when no node changed
-        repredict(wide, XDATA, pred, structural_diff(wide, wide))
+        repredict(wide, wide, XDATA, pred)
     with pytest.raises(InputShapeError):
-        repredict(STUMP, XDATA[:, 0], pred, report)
-    with pytest.raises(InputShapeError):
-        repredict(STUMP, XDATA, pred[:-1], report)
-    with pytest.raises(ValueError, match="diff report"):
-        repredict(STUMP, XDATA, pred)
+        repredict(STUMP, STUMP, XDATA[:, 0], pred)
+    with pytest.raises(InputShapeError, match="3 predictions for 4 rows"):
+        repredict(STUMP, STUMP, XDATA, pred[:-1])
+    with pytest.raises(InputShapeError, match="no predictions for 4 rows"):
+        repredict(STUMP, STUMP, XDATA)

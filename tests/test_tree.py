@@ -3,11 +3,15 @@ import pytest
 
 from conftest import random_dataset, random_tree, ref_classify, right_chain_document
 from treekeep import (
+    Dataset,
     Leaf,
+    LossParams,
     Split,
+    change_count,
     depth,
     deserialize,
     load_tree,
+    loss,
     node_at,
     node_count,
     predict,
@@ -15,7 +19,6 @@ from treekeep import (
     structural_diff,
     to_dot,
 )
-from treekeep.diff import DiffEntry, DiffReport
 from treekeep.errors import InputShapeError, TreeFormatError
 from treekeep.loss import repredict
 from treekeep.tree import iter_nodes, max_feature
@@ -91,10 +94,11 @@ def test_walkers_return_on_a_5000_deep_chain():
     flipped = Leaf(0)
     for _ in range(5000):
         flipped = Split(0, 0.5, Leaf(0), flipped)
-    # structural_diff still recurses, so the report is built here.
-    deepest = "R" * 5000
-    entries = tuple(DiffEntry(p, "changed" if p == deepest else "kept", 0.0) for p, _ in iter_nodes(flipped))
-    assert repredict(flipped, rows, pred, DiffReport(entries, 1, 0.0)).tolist() == [0, 0]
+    report = structural_diff(tree, flipped)
+    assert report.delta == 1 and [e.path for e in report.entries if e.status == "changed"] == ["R" * 5000]
+    assert change_count(tree, flipped) == 1
+    assert loss(tree, flipped, Dataset(rows, np.array([0, 1]), 2), LossParams(0.0, 1.0)).total == 2.0
+    assert repredict(tree, flipped, rows, pred).tolist() == [0, 0]
 
 
 def test_depth():
