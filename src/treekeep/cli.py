@@ -92,43 +92,43 @@ def cmd_grow(args) -> int:
     return EXIT_OK
 
 
+def _report_diff(prev, new, dot_out, diff_out=None, head=(), tail=()) -> None:
+    """Write the diff of ``new`` against ``prev`` to the files given, and print
+    ``head``, its delta and similarity, ``tail`` and its table."""
+    report = structural_diff(prev, new)
+    table = diff_table(report)
+    if diff_out:
+        with open(diff_out, "w", encoding="utf-8") as fh:
+            fh.write(table)
+    if dot_out:
+        with open(dot_out, "w", encoding="utf-8") as fh:
+            fh.write(to_dot(new, report))
+    for line in head:
+        print(line)
+    print(f"changed nodes (delta): {report.delta}")
+    print(f"partial-match similarity (approximate): {report.similarity:.4f}")
+    for line in tail:
+        print(line)
+    print(table, end="")
+
+
 def cmd_update(args) -> int:
     prev = load_tree(args.prev_tree)
     data = load_csv(args.data, _label_column(args.label_col), args.has_header)
     params = LossParams(args.alpha, args.beta)
     new = update(prev, data, params, GrowthConfig(args.max_depth))
     save_tree(new, args.out)
-    report = structural_diff(prev, new)
     breakdown = loss(prev, new, data, params)
-    if args.diff_out:
-        with open(args.diff_out, "w", encoding="utf-8") as fh:
-            fh.write(diff_table(report))
-    if args.dot_out:
-        with open(args.dot_out, "w", encoding="utf-8") as fh:
-            fh.write(to_dot(new, report))
-    print(f"wrote {args.out}")
-    print(f"changed nodes (delta): {report.delta}")
-    print(f"partial-match similarity (approximate): {report.similarity:.4f}")
-    print(
-        "loss: "
-        f"{breakdown.total:g} = {breakdown.misclassifications} misclassified"
-        f" + {params.alpha:g} * {breakdown.nodes} nodes"
-        f" + {params.beta:g} * {breakdown.changed} changed"
+    loss_line = (
+        f"loss: {breakdown.total:g} = {breakdown.misclassifications} misclassified"
+        f" + {params.alpha:g} * {breakdown.nodes} nodes + {params.beta:g} * {breakdown.changed} changed"
     )
-    print(diff_table(report), end="")
+    _report_diff(prev, new, args.dot_out, args.diff_out, [f"wrote {args.out}"], [loss_line])
     return EXIT_OK
 
 
 def cmd_diff(args) -> int:
-    prev = load_tree(args.a)
-    new = load_tree(args.b)
-    report = structural_diff(prev, new)
-    if args.dot_out:
-        with open(args.dot_out, "w", encoding="utf-8") as fh:
-            fh.write(to_dot(new, report))
-    print(f"changed nodes (delta): {report.delta}")
-    print(f"partial-match similarity (approximate): {report.similarity:.4f}")
-    print(diff_table(report), end="")
+    _report_diff(load_tree(args.a), load_tree(args.b), args.dot_out)
     return EXIT_OK
 
 

@@ -42,7 +42,7 @@ from .diff import structural_diff
 from .errors import ConfigError
 from .grow import GrowthConfig
 from .loss import LossParams, repredict
-from .tree import Tree, node_count, save_tree
+from .tree import Tree, node_count, predict, save_tree
 from .update import retrain, update
 
 __all__ = [
@@ -176,7 +176,7 @@ def _run_tracks(
             tree, elapsed_ms = roots[algorithm.alpha]
             # Predicted per track, not kept with the root: a stream then holds
             # at most two arrays of test classes at once.
-            pred = repredict(None, tree, test.features) if test.n_rows else None
+            pred = predict(tree, test.features) if test.n_rows else None
             delta = sim = None
             for t in range(min(recorded.stop, plan.n_batches)):
                 if t > 0:
@@ -246,19 +246,15 @@ def accuracy_ci_halfwidth(p: float, test_size: int) -> Optional[float]:
     return 1.96 * math.sqrt(p * (1.0 - p) / test_size)
 
 
-def _mean(values):
-    values = [v for v in values if v is not None]
-    return sum(values) / len(values) if values else None
-
-
-def _stdev(values):
+def _mean_stdev(values) -> tuple[Optional[float], Optional[float]]:
+    """Mean and sample standard deviation of the values that are not ``None``."""
     values = [v for v in values if v is not None]
     if not values:
-        return None
-    if len(values) < 2:
-        return 0.0
+        return None, None
     m = sum(values) / len(values)
-    return math.sqrt(sum((v - m) ** 2 for v in values) / (len(values) - 1))
+    if len(values) < 2:
+        return m, 0.0
+    return m, math.sqrt(sum((v - m) ** 2 for v in values) / (len(values) - 1))
 
 
 @dataclass(frozen=True)
@@ -295,7 +291,10 @@ def summarize(records: Sequence[RunRecord], test_size: int) -> list[SummaryRow]:
         groups.setdefault(key, []).append(rec)
     rows = []
     for (dataset, algorithm, alpha, beta, batch), recs in groups.items():
-        acc_mean = _mean([r.accuracy for r in recs])
+        stats = {}
+        for name in ("accuracy", "nodes", "delta", "similarity"):
+            stats[name + "_mean"], stats[name + "_stdev"] = _mean_stdev([getattr(r, name) for r in recs])
+        acc_mean = stats["accuracy_mean"]
         rows.append(
             SummaryRow(
                 dataset=dataset,
@@ -304,16 +303,9 @@ def summarize(records: Sequence[RunRecord], test_size: int) -> list[SummaryRow]:
                 beta=beta,
                 batch=batch,
                 runs=len(recs),
-                accuracy_mean=acc_mean,
-                accuracy_stdev=_stdev([r.accuracy for r in recs]),
                 accuracy_ci95=None if acc_mean is None else accuracy_ci_halfwidth(acc_mean, test_size),
-                nodes_mean=_mean([r.nodes for r in recs]),
-                nodes_stdev=_stdev([r.nodes for r in recs]),
-                delta_mean=_mean([r.delta for r in recs]),
-                delta_stdev=_stdev([r.delta for r in recs]),
-                similarity_mean=_mean([r.similarity for r in recs]),
-                similarity_stdev=_stdev([r.similarity for r in recs]),
                 label=_BASELINE_LABELS.get(algorithm, ""),
+                **stats,
             )
         )
     return sorted(rows, key=_row_order)

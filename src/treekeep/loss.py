@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -59,66 +59,73 @@ def misclassification_count(tree: Tree, data: Dataset) -> int:
     return int(np.sum(predict(tree, data.features) != data.labels))
 
 
-def _changed_tops(prev: Tree, new: Tree):
-    """``(path, subtree)`` of each topmost node of ``new`` not present in ``prev``, in preorder.
-
-    Nodes match pairwise from the root down: splits must agree on feature and
-    threshold, leaves on class.  Any mismatch (including a split standing
-    where a leaf stood, or vice versa) yields the new subtree at that
-    position; the walk does not descend into it.
+def _walk(prev: Tree, new: Tree) -> list[tuple[Tree, bool, Sequence[int]]]:
+    """The positions of ``new`` a lockstep walk with ``prev`` reaches, in preorder,
+    as ``(node, changed, children)``.  Nodes match pairwise from the root down:
+    splits must agree on feature and threshold, leaves on class.  A matched
+    split lists its child entries' indices in ``children``; any mismatch
+    (including a split standing where a leaf stood, or vice versa) is a
+    topmost change, which sets ``changed`` and is not descended into.
     """
-    stack = [("", prev, new)]
+    entries = []
+    stack = [(prev, new, [])]  # each pair with its parent entry's children; right pushed first: preorder
     while stack:
-        path, old, now = stack.pop()
+        old, now, siblings = stack.pop()
+        siblings.append(len(entries))
         if (
             isinstance(old, Split)
             and isinstance(now, Split)
             and old.feature == now.feature
             and old.threshold == now.threshold
         ):
-            stack.append((path + "R", old.right, now.right))
-            stack.append((path + "L", old.left, now.left))
-        elif not (isinstance(old, Leaf) and isinstance(now, Leaf) and old.class_label == now.class_label):
-            yield path, now
+            children = []
+            entries.append((now, False, children))
+            stack.append((old.right, now.right, children))
+            stack.append((old.left, now.left, children))
+        else:
+            matched = isinstance(old, Leaf) and isinstance(now, Leaf) and old.class_label == now.class_label
+            entries.append((now, not matched, ()))
+    return entries
 
 
-def repredict(prev: Optional[Tree], new: Tree, features, pred: Optional[np.ndarray] = None) -> np.ndarray:
-    """The class of every row of ``features`` under ``new``, as ``predict`` gives it.
+def repredict(prev: Tree, new: Tree, features, pred: np.ndarray) -> np.ndarray:
+    """The class of every row of ``features`` under ``new``, given ``pred``, their classes under ``prev``.
 
-    Given ``prev`` and ``pred``, its classes, only the rows that reach a
-    topmost changed node are predicted again: every split above such a node
-    is ``prev``'s, so every other row keeps its class.  ``pred`` is never
-    written to; it is returned as it is when no node changed.
+    Only the rows that reach a topmost changed node are predicted again:
+    every split above such a node is ``prev``'s, so every other row keeps its
+    class.  ``pred`` is never written to; it is returned as it is when no
+    node changed.
     """
-    if prev is None:
-        return predict(new, features)
     features = _feature_matrix(new, features)
-    if pred is None or len(pred) != features.shape[0]:
-        raise InputShapeError(f"{'no' if pred is None else len(pred)} predictions for {features.shape[0]} rows")
-    tops = {path for path, _ in _changed_tops(prev, new)}
-    if not tops:
+    if len(pred) != features.shape[0]:
+        raise InputShapeError(f"{len(pred)} predictions for {features.shape[0]} rows")
+    entries = _walk(prev, new)
+    # Marked: the topmost changed nodes and the kept splits on the way to them.
+    marked = [changed for _, changed, _ in entries]
+    for i in reversed(range(len(entries))):
+        marked[i] = marked[i] or any(marked[child] for child in entries[i][2])
+    if not marked[0]:
         return pred
-    # The topmost changed nodes and the kept splits on the way to them.
-    toward = {path[:i] for path in tops for i in range(len(path) + 1)}
     out = pred.copy()
-    stack = [(new, "", None)]
+    stack = [(0, None)]
     while stack:
-        node, path, idx = stack.pop()
-        if path in tops:
+        i, idx = stack.pop()
+        node, changed, children = entries[i]
+        if changed:
             _predict_into(node, features, idx, out)
             continue
-        for child, step, rows in zip((node.left, node.right), "LR", _route(node, features, idx)):
-            if path + step in toward:
-                stack.append((child, path + step, rows))
+        for child, rows in zip(children, _route(node, features, idx)):
+            if marked[child]:
+                stack.append((child, rows))
     return out
 
 
 def change_count(prev: Optional[Tree], new: Tree) -> int:
-    """Nodes of ``new`` not present in ``prev``: those of every subtree ``_changed_tops``
-    yields, or all of them with no previous tree."""
+    """Nodes of ``new`` not present in ``prev``: those under every topmost change
+    ``_walk`` finds, or all of them with no previous tree."""
     if prev is None:
         return node_count(new)
-    return sum(node_count(top) for _, top in _changed_tops(prev, new))
+    return sum(node_count(node) for node, changed, _ in _walk(prev, new) if changed)
 
 
 def breakdown(f: int, c: int, d: int, params: LossParams) -> LossBreakdown:

@@ -296,24 +296,27 @@ def test_run_eval_predicts_again_only_under_changed_nodes(tmp_path, monkeypatch,
     rows_predicted = []
     scoring = []  # set while the harness predicts its test rows
     predict_into = importlib.import_module("treekeep.tree")._predict_into
-    repredict = HARNESS_MODULE.repredict
 
     def counted_predict_into(node, features, idx, out):
         if scoring:  # no index set stands for every row
             rows_predicted[-1] += len(out) if idx is None else idx.size
         predict_into(node, features, idx, out)
 
-    def flagged_repredict(*args):  # the stream scores each record once
-        rows_predicted.append(0)
-        scoring.append(True)
-        try:
-            return repredict(*args)
-        finally:
-            scoring.pop()
+    def flagged(scorer):  # the stream scores each record once: batch 0 with predict, the rest with repredict
+        def scored(*args):
+            rows_predicted.append(0)
+            scoring.append(True)
+            try:
+                return scorer(*args)
+            finally:
+                scoring.pop()
+
+        return scored
 
     for module in ("treekeep.tree", "treekeep.loss"):
         monkeypatch.setattr(importlib.import_module(module), "_predict_into", counted_predict_into)
-    monkeypatch.setattr(HARNESS_MODULE, "repredict", flagged_repredict)
+    for name in ("predict", "repredict"):
+        monkeypatch.setattr(HARNESS_MODULE, name, flagged(getattr(HARNESS_MODULE, name)))
     config = make_config(algorithm, alpha=0.5, n_runs=3, n_batches=5, batch_size=40, test_size=100)
     out = tmp_path / "exp"
     records = run_eval(config, out)

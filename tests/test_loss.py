@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from treekeep import (
     structural_diff,
 )
 from treekeep.errors import InputShapeError
-from treekeep.loss import _changed_tops, repredict
+from treekeep.loss import _walk, repredict
 
 STUMP = Split(0, 2.5, Leaf(0), Leaf(1))
 XDATA = np.array([[1.0], [2.0], [3.0], [4.0]])
@@ -206,7 +208,8 @@ def test_repredict_matches_predict():
         # structural_diff is an independent oracle for the walk repredict routes by.
         kept = {e.path for e in report.entries if e.status == "kept"}
         tops = [e.path for e in report.entries if e.status == "changed" and (not e.path or e.path[:-1] in kept)]
-        assert [path for path, _ in _changed_tops(prev, new)] == tops
+        changed = [node for node, is_changed, _ in _walk(prev, new) if is_changed]
+        assert len(changed) == len(tops) and all(node is node_at(new, p) for node, p in zip(changed, tops))
         if not tops:
             assert got is pred
             seen.add("identical")
@@ -224,5 +227,26 @@ def test_repredict_checks_its_input():
         repredict(STUMP, STUMP, XDATA[:, 0], pred)
     with pytest.raises(InputShapeError, match="3 predictions for 4 rows"):
         repredict(STUMP, STUMP, XDATA, pred[:-1])
-    with pytest.raises(InputShapeError, match="no predictions for 4 rows"):
-        repredict(STUMP, STUMP, XDATA)
+
+
+def test_repredict_memory_is_linear_in_depth():
+    # A 10,000-deep right chain whose deepest leaf flips: the one changed node
+    # lies 10,000 splits down.  Root-to-node path strings for every kept
+    # split on the way would take about 50 MB.
+    def chain(deepest):
+        tree = Leaf(deepest)
+        for _ in range(10000):
+            tree = Split(0, 0.5, Leaf(0), tree)
+        return tree
+
+    prev, new = chain(1), chain(0)
+    features = np.array([[0.0], [1.0], [0.5]])
+    pred = predict(prev, features)
+    tracemalloc.start()
+    try:
+        got = repredict(prev, new, features, pred)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, predict(new, features)) and got.tolist() == [0, 0, 0]
+    assert peak < 8 * 2**20
