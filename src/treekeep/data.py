@@ -1,5 +1,13 @@
 """Datasets: loading, batch planning, and synthetic generation.
 
+``load_csv`` reads a file in chunks of ``CHUNK_ROWS`` lines.  A chunk with
+no quote, NUL or \\x1c-\\x1f character, and with no comma unless its first
+line has one, is parsed by one call of numpy's C reader.  Every other chunk,
+and every chunk the C reader refuses, takes the cell path: each line split
+on its own and each cell converted with ``float``.  The cell path decides
+every file the C reader does not load, so both paths load the same values
+and raise the same errors.
+
 All randomness flows through numpy's PCG64 generator seeded via
 ``np.random.SeedSequence``, so a (seed, dataset) pair reproduces the same
 batches on any platform.
@@ -130,7 +138,7 @@ CHUNK_ROWS = 1024
 
 def _nonblank(fh):
     """The file's lines stripped of surrounding whitespace, blank ones skipped."""
-    return (line for line in map(str.strip, fh) if line)
+    return filter(None, map(str.strip, fh))
 
 
 def _split_line(line: str) -> list[str]:
@@ -151,10 +159,62 @@ def _row_cells(path, row_no: int, line: str) -> list[str]:
         raise DataLoadError(f"{path}, row {row_no}: {exc}") from None
 
 
-def _parse_chunk(lines, n_cols, label_idx, out):
-    """Parse a chunk into ``out`` one column at a time and return its label
-    cells; return None if a row is faulty or the csv reader fails on a line
-    (``out`` is then partly written)."""
+class _ClassIds(dict):
+    """The class id of each raw label cell, as ``ids[cell]``.  Ids count the
+    stripped cells in the order they are first met (``first_seen``); a cell
+    met before costs one dict lookup."""
+
+    def __init__(self):
+        super().__init__()
+        self.first_seen: dict[str, int] = {}
+
+    def __missing__(self, cell: str) -> int:
+        self[cell] = class_id = self.first_seen.setdefault(cell.strip(), len(self.first_seen))
+        return class_id
+
+
+# A chunk holding one of these goes to the cell path: numpy's reader takes
+# "1\x1c" for 1.0 where ``float`` refuses it, only the csv reader reads
+# quotes, and NUL is left to the cell path too.
+_CELL_PATH_CHARS = ('"', "\x00", "\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _read_clean_chunk(lines, n_cols, label_idx, out, class_ids):
+    """``_parse_chunk`` in one call of numpy's C reader, for a chunk where
+    it splits and converts as ``_split_line`` and ``float`` do; None for any
+    other chunk and for any the reader refuses."""
+    text = "\n".join(lines)
+    # A comma line is a CSV line, so a whitespace chunk must hold no comma.  A
+    # comma-free line in a comma chunk reads as one cell and fails the shape check.
+    comma = "," in lines[0]
+    if any(char in text for char in _CELL_PATH_CHARS) or (not comma and "," in text):
+        return None
+    try:
+        # No usecols: with it, numpy would drop a row's extra cells.  numpy
+        # before 2.0 hands converters bytes unless encoding is None.
+        values = np.loadtxt(
+            lines, np.float64, delimiter="," if comma else None, comments=None, ndmin=2,
+            encoding=None, converters={label_idx: class_ids.__getitem__},
+        )
+    except ValueError:
+        return None
+    if values.shape != (len(lines), n_cols):
+        return None
+    out[:, :label_idx] = values[:, :label_idx]
+    out[:, label_idx:] = values[:, label_idx + 1 :]
+    if not np.isfinite(out).all():
+        return None
+    return values[:, label_idx]
+
+
+def _parse_chunk(lines, n_cols, label_idx, out, class_ids):
+    """Parse a chunk into ``out`` and return its class ids; return None if a
+    row is faulty or the csv reader fails on a line (``out`` is then partly
+    written).  A clean chunk takes numpy's C reader; any other takes the cell
+    path: split line by line, then converted one column at a time."""
+    ids = _read_clean_chunk(lines, n_cols, label_idx, out, class_ids)
+    if ids is not None:
+        return ids
     try:
         rows = [_split_line(line) for line in lines]
     except csv.Error:
@@ -170,7 +230,7 @@ def _parse_chunk(lines, n_cols, label_idx, out):
         return None
     if not np.isfinite(out).all():
         return None
-    return columns[label_idx]
+    return [class_ids[cell] for cell in columns[label_idx]]
 
 
 def _raise_chunk_fault(path, lines, first_row, n_cols, label_idx) -> NoReturn:
@@ -206,10 +266,12 @@ def load_csv(path, label_column: Union[int, str], has_header: bool = False) -> D
     is recorded in ``label_names``.
 
     The file is read twice: once to count its rows, so that the float64
-    feature array is allocated once, then ``CHUNK_ROWS`` lines at a time,
-    each chunk converted one column at a time.  Memory peaks a little above
-    that one array.  A chunk that fails to parse is read again cell by cell
-    to name its first faulty row and column.
+    feature array is allocated once, then ``CHUNK_ROWS`` lines at a time.
+    Memory peaks a little above that one array.  A clean chunk (the module
+    docstring says which) is parsed by numpy's C reader; any other, and any
+    the C reader refuses, is split line by line and converted one column at
+    a time.  A chunk that fails that too is read again cell by cell to name
+    its first faulty row and column, so the cell path decides every error.
     """
     if not os.path.exists(path):
         raise DataLoadError(f"dataset file not found: {path}")
@@ -249,20 +311,21 @@ def load_csv(path, label_column: Union[int, str], has_header: bool = False) -> D
         features = np.empty((n_rows, n_cols - 1), dtype=np.float64)
         # Class ids in first-seen order; sorted by label name below.
         label_ids = np.empty(n_rows, dtype=np.int64)
-        first_seen: dict[str, int] = {}
+        class_ids = _ClassIds()
         done = 0
         while chunk:
             end = done + len(chunk)
             block = features[done:end]
-            cells = _parse_chunk(chunk, n_cols, label_idx, block)
-            if cells is None:
+            ids = _parse_chunk(chunk, n_cols, label_idx, block, class_ids)
+            if ids is None:
                 _raise_chunk_fault(path, chunk, first_row + done, n_cols, label_idx)
-            label_ids[done:end] = [first_seen.setdefault(cell.strip(), len(first_seen)) for cell in cells]
+            label_ids[done:end] = ids
             done = end
             chunk = list(itertools.islice(lines, CHUNK_ROWS))
         if done != n_rows:
             raise DataLoadError(f"{path}: file shrank while it was read")
 
+    first_seen = class_ids.first_seen
     distinct = sorted(first_seen, key=_sort_key)
     rank = np.empty(len(distinct), dtype=np.int64)
     rank[[first_seen[name] for name in distinct]] = np.arange(len(distinct))

@@ -12,17 +12,19 @@ Two instruments, deliberately different:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Optional
 
-from .tree import Leaf, NodeId, Split, Tree, iter_nodes, node_count
+from .tree import Leaf, NodeId, Split, Tree, node_count
 
 __all__ = ["DiffEntry", "DiffReport", "structural_diff", "diff_table"]
 
 PARTIAL_CREDIT = 0.5
 
 
-def _match_score(prev: Tree, new: Tree) -> float:
-    """Match score for an aligned node pair: 1 exact, 0.5 same-variable split, 0 else."""
+def _match_score(prev: Optional[Tree], new: Tree) -> float:
+    """Match score for an aligned node pair: 1 exact, 0.5 same-variable split,
+    0 else, and 0 where no previous node is aligned (``prev`` is None)."""
     if isinstance(prev, Leaf) and isinstance(new, Leaf):
         return 1.0 if prev.class_label == new.class_label else 0.0
     if isinstance(prev, Split) and isinstance(new, Split) and prev.feature == new.feature:
@@ -30,11 +32,27 @@ def _match_score(prev: Tree, new: Tree) -> float:
     return 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DiffEntry:
-    path: NodeId  # position in the new tree
+    """One node of the new tree.  It links to its parent's entry (None at the
+    root) and holds only the step from it, so a report takes memory linear
+    in the tree's depth; ``path`` is built on each read.  Entries compare by
+    step, status and score: a report's entries are in preorder, and the
+    steps in preorder fix each entry's position."""
+
+    parent: Optional["DiffEntry"] = field(repr=False, compare=False)
+    step: str  # "L" or "R"; "" at the root
     status: str  # "kept" | "changed"
     match_score: float
+
+    @property
+    def path(self) -> NodeId:
+        """Position in the new tree."""
+        steps, entry = [], self
+        while entry is not None:
+            steps.append(entry.step)
+            entry = entry.parent
+        return "".join(reversed(steps))
 
 
 @dataclass(frozen=True)
@@ -53,19 +71,19 @@ def structural_diff(prev: Tree, new: Tree) -> DiffReport:
     variable, and sum into ``similarity`` over the larger tree's node count.
     """
     entries: list[DiffEntry] = []
-    stack = [("", prev, new, False)]  # right pushed before left: the entries stay in preorder
+    # Right pushed before left: the entries stay in preorder.  Below a zero
+    # score ``old`` is None, so every node there scores 0 and is changed.
+    stack = [(None, "", prev, new, False)]
     while stack:
-        path, old, now, ancestor_changed = stack.pop()
+        parent, step, old, now, ancestor_changed = stack.pop()
         score = _match_score(old, now)
-        if score == 0.0:
-            entries.extend(DiffEntry(p, "changed", 0.0) for p, _ in iter_nodes(now, path))
-            continue
         exact = score == 1.0
-        entries.append(DiffEntry(path, "kept" if exact and not ancestor_changed else "changed", score))
+        entry = DiffEntry(parent, step, "kept" if exact and not ancestor_changed else "changed", score)
+        entries.append(entry)
         if isinstance(now, Split):  # a nonzero score means old is a Split too
             below_changed = ancestor_changed or not exact
-            stack.append((path + "R", old.right, now.right, below_changed))
-            stack.append((path + "L", old.left, now.left, below_changed))
+            stack.append((entry, "R", old.right if score else None, now.right, below_changed))
+            stack.append((entry, "L", old.left if score else None, now.left, below_changed))
     delta = sum(1 for e in entries if e.status == "changed")
     score = sum(e.match_score for e in entries)
     sim = score / max(node_count(prev), node_count(new))

@@ -319,6 +319,56 @@ def test_load_csv_label_order_does_not_depend_on_row_order(tmp_path):
         assert data.label_names == ("-inf", "1", "2", "NaN", "b", "nan")
 
 
+# Chunks at the edge of numpy's C reader: each must load, or fail, as the
+# line-by-line reference does, whichever path takes it.
+C_READER_EDGES = {
+    "unit-separator-after": (["0,1,a", "1\x1c,2,a", "2,3,b"], False),
+    "unit-separator-stripped": (["0,1,a", "\x1f2,3,b"], True),  # str.strip takes it off the line
+    "unit-separator-before": (["0,1,a", "2,\x1f3,b"], False),
+    "nul": (["0,1,a", "1\x00,2,a"], False),
+    "comma-in-a-tab-chunk": (["1\t2\ta", "1 2 c,0", "3\t4\tb"], False),
+    "extra-cell": (["1,2,a", "3,4,b,5", "6,7,a"], False),
+    "extra-cell-tab": (["1\t2\ta", "3\t4\tb\t5"], False),
+    "one-row": (["1,2,a"], True),
+    "one-row-tab": (["1\t2\ta"], True),
+    "digit-separator": (["1,2,a", "1_000,3,b", "4,5,a"], True),
+    "fullwidth-digit": (["1\t2\ta", "７\t3\tb"], True),
+}
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, 1024])
+@pytest.mark.parametrize("lines, loads", list(C_READER_EDGES.values()), ids=list(C_READER_EDGES))
+def test_load_csv_matches_the_reference_at_the_c_readers_edges(tmp_path, monkeypatch, chunk_rows, lines, loads):
+    monkeypatch.setattr(DATA_MODULE, "CHUNK_ROWS", chunk_rows)
+    path = write(tmp_path, "d.csv", "\n".join(lines) + "\n")
+    expected = load_outcome(ref_load_csv, path, -1, False)
+    assert load_outcome(load_csv, path, -1, False) == expected
+    assert len(expected) == (6 if loads else 2)
+
+
+@pytest.mark.parametrize("sep, has_header", [(",", True), ("\t", False)])
+def test_load_csv_splits_no_clean_data_line_by_itself(tmp_path, monkeypatch, sep, has_header):
+    # Clean chunks go to numpy's C reader: only the header and the first row,
+    # which sets the width, pass through _split_line.
+    rng = np.random.default_rng(45)
+    values = rng.random((2 * DATA_MODULE.CHUNK_ROWS + 100, 3)).round(int(rng.integers(1, 17)))
+    lines = [sep.join([*map(repr, row.tolist()), f"c{int(row[0] * 4)}"]) for row in values]
+    if has_header:
+        lines.insert(0, sep.join(["x", "y", "z", "label"]))
+    path = write(tmp_path, "d.csv", "\n".join(lines) + "\n")
+    split = []
+    split_line = DATA_MODULE._split_line
+
+    def counted_split_line(line):
+        split.append(line)
+        return split_line(line)
+
+    monkeypatch.setattr(DATA_MODULE, "_split_line", counted_split_line)
+    got = load_outcome(load_csv, path, -1, has_header)
+    assert split == lines[: 1 + has_header]
+    assert got == load_outcome(ref_load_csv, path, -1, has_header) and len(got) == 6
+
+
 def test_load_csv_rejects_a_pipe(tmp_path):
     fifo = str(tmp_path / "fifo")
     os.mkfifo(fifo)

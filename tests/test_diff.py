@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,27 @@ def test_delta_matches_change_count_on_random_pairs():
         report = structural_diff(prev, new)
         assert report.delta == change_count(prev, new)
         assert report.delta == sum(1 for e in report.entries if e.status == "changed")
+
+
+def test_diff_memory_is_linear_in_depth():
+    # A 10,000-deep right chain whose deepest leaf flips.  Root-to-node path
+    # strings held for every entry would take about 100 MB.
+    def chain(deepest):
+        tree = Leaf(deepest)
+        for _ in range(10000):
+            tree = Split(0, 0.5, Leaf(0), tree)
+        return tree
+
+    prev, new = chain(1), chain(0)
+    tracemalloc.start()
+    try:
+        report = structural_diff(prev, new)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert report.delta == 1 and len(report.entries) == 20001
+    assert [e.path for e in report.entries if e.status == "changed"] == ["R" * 10000]
 
 
 def test_similarity_bounds_and_identity():
